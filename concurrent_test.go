@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -140,6 +141,61 @@ func TestConcurrentMixedWorkloadMatchesSerial(t *testing.T) {
 	t.Logf("spill activity: evictions=%d repartitions=%d build-rows=%d overshoot-peak=%d",
 		rec.Get(metrics.SpillEvictions), rec.Get(metrics.SpillRepartitions),
 		rec.Get(metrics.SpillBuildRows), rec.GaugePeak(metrics.MemOvershootBytes))
+}
+
+// TestConcurrentAdviseSharesSample races the first advise on a fresh
+// warehouse: 16 goroutines Submit or Explain unhinted queries at once, and
+// the advisor's sample of L must be drawn exactly once.
+func TestConcurrentAdviseSharesSample(t *testing.T) {
+	w, err := Open(Config{
+		DBWorkers: 2, JENWorkers: 2, BlockSize: 64 << 10, Seed: 3,
+		MemBudgetBytes: 4 << 20, MaxConcurrent: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.LoadPaperData(concurrentData()); err != nil {
+		t.Fatal(err)
+	}
+	wl, err := datagen.Solve(w.Data(), datagen.Selectivities{SigmaT: 0.1, SigmaL: 0.4, ST: 0.2, SL: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql := PaperQuerySQL(wl)
+
+	const clients = 16
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			if c%2 == 1 {
+				_, err := w.Explain(sql)
+				errs <- err
+				return
+			}
+			h, err := w.Submit(context.Background(), sql)
+			if err == nil {
+				_, err = h.Wait()
+			}
+			errs <- err
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.sampleMu.Lock()
+	draws := w.sampleDraws
+	w.sampleMu.Unlock()
+	if draws != 1 {
+		t.Errorf("%d sample draws under concurrent advise, want 1", draws)
+	}
 }
 
 // TestConcurrentKillReleasesEverything submits 8 in-flight scans, kills one

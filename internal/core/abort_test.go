@@ -268,3 +268,33 @@ func TestNoFailureCounterSnapshotStable(t *testing.T) {
 		}
 	}
 }
+
+// TestBusBytesIndependentOfQueryNumber runs each algorithm as an engine's
+// 1st query and as its 1000th. Their stream names differ only in the
+// per-query scope ("q1/" vs "q1000/"), which the bus does not charge, so
+// every link class must see identical bytes and messages.
+func TestBusBytesIndependentOfQueryNumber(t *testing.T) {
+	f := buildFixture(t, netsim.NewChanBus(256), 2, 3, 800, 2000, format.HWCName)
+	defer f.eng.Close()
+	q := exampleQuery(t, f, 300, 400)
+	classes := []cluster.LinkClass{cluster.IntraDB, cluster.IntraHDFS, cluster.Cross}
+	runAs := func(n int64, alg Algorithm) map[string]int64 {
+		f.eng.qid.Store(n - 1)
+		f.eng.Bus().Counters().Reset()
+		if _, err := f.eng.Run(q, alg); err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		out := map[string]int64{}
+		for _, cl := range classes {
+			out["bytes."+cl.String()] = f.eng.Bus().Counters().Bytes(cl)
+			out["msgs."+cl.String()] = f.eng.Bus().Counters().Messages(cl)
+		}
+		return out
+	}
+	for _, alg := range Algorithms() {
+		first, later := runAs(1, alg), runAs(1000, alg)
+		if !reflect.DeepEqual(first, later) {
+			t.Errorf("%v: bus counters as query 1 %v differ from as query 1000 %v", alg, first, later)
+		}
+	}
+}

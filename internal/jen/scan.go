@@ -374,6 +374,53 @@ func (c *Cluster) ScanFilter(spec ScanSpec, yield func(types.Row) error) error {
 	})
 }
 
+// ScanPrefix returns the first n rows, at full width, of worker's share of
+// the scan plan. It reads the worker's work units in plan order on the
+// caller's goroutine and stops inside the row group (HWC) or split (text)
+// that fills the quota. With no read-ahead and no race between disk
+// readers, the rows are a deterministic function of the plan. The worker's
+// scan row and byte counters are charged for what was read.
+func (c *Cluster) ScanPrefix(p *ScanPlan, worker, n int) ([]types.Row, error) {
+	spec := ScanSpec{Plan: p, Worker: worker}
+	pool := batch.NewPool(spec.projWidth(), c.cfg.BatchRows)
+	rows := make([]types.Row, 0, n)
+	var stats format.ScanStats
+	var err error
+	for _, u := range p.Units[worker] {
+		if len(rows) >= n {
+			break
+		}
+		var st format.ScanStats
+		st, err = c.scanUnitBatches(u, spec, pool, func(b *batch.Batch) error {
+			_ = b.Each(func(i int) error {
+				if len(rows) < n {
+					rows = append(rows, b.CloneRow(i))
+				}
+				return nil
+			})
+			pool.Put(b)
+			if len(rows) >= n {
+				return errPrefixFull
+			}
+			return nil
+		})
+		stats.Add(st)
+		if err == errPrefixFull {
+			err = nil
+		}
+		if err != nil {
+			err = fmt.Errorf("jen: worker %d prefix scan %s: %w", worker, u.Path, err)
+			break
+		}
+	}
+	c.rec.AddAt(metrics.JENScanBytes, worker, stats.BytesRead)
+	c.rec.AddAt(metrics.JENScanRows, worker, stats.RowsRead)
+	return rows, err
+}
+
+// errPrefixFull stops ScanPrefix once its quota is met.
+var errPrefixFull = fmt.Errorf("jen: prefix complete")
+
 // errScanStopped aborts a reader when the process stage has failed.
 var errScanStopped = fmt.Errorf("jen: scan stopped")
 

@@ -14,6 +14,7 @@ package netsim
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"hybridwh/internal/cluster"
@@ -66,10 +67,29 @@ type Msg struct {
 	Payload []byte
 }
 
-// wireSize is the accounted size of a message: payload plus a small framing
-// overhead, identical for both transports so counters are
-// transport-independent.
-func (m Msg) wireSize() int64 { return int64(len(m.Payload)) + int64(len(m.Stream)) + 8 }
+// wireSize is the accounted size of a message: payload, stream name and a
+// small framing overhead, identical for both transports so counters are
+// transport-independent. The stream's per-query scope ("q<N>/") is not
+// charged, so a query's bytes do not depend on how many ran before it.
+func (m Msg) wireSize() int64 {
+	return int64(len(m.Payload)) + int64(len(unscoped(m.Stream))) + 8
+}
+
+// unscoped strips a leading per-query scope "q<digits>/" from a stream name.
+func unscoped(stream string) string {
+	rest, ok := strings.CutPrefix(stream, "q")
+	if !ok {
+		return stream
+	}
+	i := 0
+	for i < len(rest) && rest[i] >= '0' && rest[i] <= '9' {
+		i++
+	}
+	if i == 0 || i == len(rest) || rest[i] != '/' {
+		return stream
+	}
+	return rest[i+1:]
+}
 
 // Envelope is a received message with its sender.
 type Envelope struct {

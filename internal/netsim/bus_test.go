@@ -276,3 +276,20 @@ func TestMsgTypeString(t *testing.T) {
 		}
 	}
 }
+
+func TestWireSizeIgnoresQueryScope(t *testing.T) {
+	pay := []byte("rows")
+	base := Msg{Type: MsgRows, Stream: "shuffle", Payload: pay}.wireSize()
+	for _, stream := range []string{"q1/shuffle", "q1000/shuffle"} {
+		if got := (Msg{Type: MsgRows, Stream: stream, Payload: pay}).wireSize(); got != base {
+			t.Errorf("wireSize(%q) = %d, want %d", stream, got, base)
+		}
+	}
+	// Names that only look like a scope are charged in full.
+	for _, stream := range []string{"q/shuffle", "qa/shuffle", "q12", "q12x/s", ""} {
+		m := Msg{Type: MsgRows, Stream: stream, Payload: pay}
+		if got, want := m.wireSize(), int64(len(pay)+len(stream)+8); got != want {
+			t.Errorf("wireSize(%q) = %d, want %d", stream, got, want)
+		}
+	}
+}

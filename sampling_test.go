@@ -3,9 +3,11 @@ package hybridwh
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"hybridwh/internal/expr"
+	"hybridwh/internal/format"
 	"hybridwh/internal/jen"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/plan"
@@ -68,6 +70,9 @@ func openClusteredSample(t *testing.T) *Warehouse {
 	}
 	return w
 }
+
+// errEnoughSample stops worker0Estimate's bounded scan.
+var errEnoughSample = errors.New("sample complete")
 
 // worker0Estimate reproduces the pre-fix estimators' sampling loop — a
 // bounded scan of worker 0's blocks only — so the test can compare the old
@@ -189,5 +194,93 @@ func TestSamplingStridesAcrossWorkers(t *testing.T) {
 	}
 	if math.Abs(hot-truthHot) > math.Abs(oldHot-truthHot) {
 		t.Errorf("strided hot share %.3f is further from truth %.1f than worker-0-only %.3f", hot, truthHot, oldHot)
+	}
+}
+
+// TestAdvisorSampleDrawnOnce checks the sample cache: once a table's sample
+// is drawn, an estimate with a different predicate and projection decodes
+// nothing, and still equals what a fresh warehouse computes for it.
+func TestAdvisorSampleDrawnOnce(t *testing.T) {
+	w := openLoaded(t, Config{})
+	defer w.Close()
+	jq, err := w.Plan(PaperQuerySQL(table1Workload(t, w)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.EstimateSigmaL(jq, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// Ships only joinKey and filters on indPred: a different projection
+	// and predicate from the paper query's.
+	const sql = "select count(*) from T, L where T.joinKey = L.joinKey and L.indPred <= 300"
+	estimate := func(w *Warehouse) (sigma, hot float64) {
+		t.Helper()
+		jq, err := w.Plan(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sigma, err = w.EstimateSigmaL(jq, 0); err != nil {
+			t.Fatal(err)
+		}
+		if hot, err = w.EstimateHotKeyShare(jq, 0); err != nil {
+			t.Fatal(err)
+		}
+		return sigma, hot
+	}
+	w.rec.Reset()
+	sigma, hot := estimate(w)
+	if rows := w.rec.Get(metrics.JENScanRows); rows != 0 {
+		t.Errorf("estimates after the first draw scanned %d rows, want 0", rows)
+	}
+	w.sampleMu.Lock()
+	draws := w.sampleDraws
+	w.sampleMu.Unlock()
+	if draws != 1 {
+		t.Errorf("%d sample draws, want 1", draws)
+	}
+
+	fresh := openLoaded(t, Config{})
+	defer fresh.Close()
+	wantSigma, wantHot := estimate(fresh)
+	if sigma != wantSigma || hot != wantHot {
+		t.Errorf("cached estimates (σ_L %.4f, hot %.4f) differ from a fresh warehouse's (%.4f, %.4f)",
+			sigma, hot, wantSigma, wantHot)
+	}
+	if sigma <= 0 || sigma >= 1 {
+		t.Errorf("σ_L(indPred <= 300) = %.4f; the predicate should pass some rows but not all", sigma)
+	}
+}
+
+// TestAdvisorSampleDeterministic checks the first draw: identically seeded
+// warehouses draw identical samples, and on paper data no worker reads past
+// its first row group (HWC) or split (text).
+func TestAdvisorSampleDeterministic(t *testing.T) {
+	for _, f := range []string{format.HWCName, format.TextName} {
+		t.Run(f, func(t *testing.T) {
+			draw := func() ([]types.Row, []int64) {
+				w := openLoaded(t, Config{Format: f, Seed: 5})
+				defer w.Close()
+				w.rec.Reset()
+				s, err := w.tableSample("L", sampleRowsDefault)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s, w.rec.Vector(metrics.JENScanRows)
+			}
+			a, scanned := draw()
+			b, _ := draw()
+			if len(a) == 0 || !reflect.DeepEqual(a, b) {
+				t.Fatalf("identically seeded warehouses drew different samples (%d vs %d rows)", len(a), len(b))
+			}
+			if len(scanned) != 4 {
+				t.Fatalf("scan counters cover %d workers, want 4: %v", len(scanned), scanned)
+			}
+			for wk, rows := range scanned {
+				if rows == 0 || rows > 2048 {
+					t.Errorf("worker %d charged %d scan rows, want 1..2048 (one row group)", wk, rows)
+				}
+			}
+		})
 	}
 }

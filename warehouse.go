@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"hybridwh/internal/catalog"
@@ -199,6 +200,12 @@ type Warehouse struct {
 	// star spec. Mutually exclusive with the two-table paper dataset.
 	star     *datagen.Star
 	starFact string
+
+	// The advisor's samples of L, drawn once per (table, budget) on first
+	// use (sampling.go). sampleDraws counts draws.
+	sampleMu    sync.Mutex
+	samples     map[sampleKey][]types.Row // guarded by sampleMu
+	sampleDraws int                       // guarded by sampleMu
 }
 
 // Open assembles an empty warehouse.
@@ -683,7 +690,8 @@ func (w *Warehouse) advise(jq *plan.JoinQuery, o queryOpts) core.Advice {
 	return core.Advise(stats, w.cfg.Scale)
 }
 
-// Explain renders the plan, the advisor's choice and the optimizer's
+// Explain renders the plan, the algorithm Query would run with the same
+// options (the advisor's choice, or the forced one) and the optimizer's
 // access-path decision without executing.
 func (w *Warehouse) Explain(sql string, opts ...Option) (string, error) {
 	if w.starFact != "" {
@@ -693,11 +701,10 @@ func (w *Warehouse) Explain(sql string, opts ...Option) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var o queryOpts
-	for _, opt := range opts {
-		opt(&o)
+	_, alg, advice := w.resolve(jq, opts)
+	if advice == "" {
+		advice = "forced by WithAlgorithm"
 	}
-	a := w.advise(jq, o)
 	tbl, err := w.db.Table(jq.DBTable)
 	if err != nil {
 		return "", err
@@ -714,7 +721,7 @@ func (w *Warehouse) Explain(sql string, opts ...Option) (string, error) {
 		exprString(jq.DBPred), ap.Path, ap.EstSelectivity,
 		exprString(jq.HDFSPred), exprString(jq.PostJoin),
 		jq.DBWireSchema, jq.HDFSWireSchema,
-		a.Algorithm, a.Reason)
+		alg, advice)
 	return out, nil
 }
 

@@ -245,6 +245,30 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestExplainHonoursCardHint checks that a hinted EXPLAIN names the
+// algorithm the hinted query runs. The hint implies σ_L = 0.001, which
+// drives db(BF); the sample alone would see the predicate's real 0.4.
+func TestExplainHonoursCardHint(t *testing.T) {
+	w := openLoaded(t, Config{})
+	defer w.Close()
+	sql := PaperQuerySQL(table1Workload(t, w))
+	hint := WithCardHint(int64(float64(smallData().LRows) * 0.001))
+	res, err := w.Query(sql, hint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Algorithm != core.DBSideBloom {
+		t.Fatalf("hinted query ran %v, want %v: %s", res.Algorithm, core.DBSideBloom, res.Advice)
+	}
+	out, err := w.Explain(sql, hint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "algorithm:       " + res.Algorithm.String() + " —"; !strings.Contains(out, want) {
+		t.Errorf("hinted Explain does not name %v:\n%s", res.Algorithm, out)
+	}
+}
+
 func TestTextFormatEndToEnd(t *testing.T) {
 	w := openLoaded(t, Config{Format: format.TextName})
 	defer w.Close()
