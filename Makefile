@@ -47,8 +47,7 @@ race:
 
 # Full sweep at one iteration, then the core scan→filter→shuffle→join
 # micro-benchmark plus the skewed-shuffle benchmark at measurement length,
-# recorded as BENCH_core.json (the batch-vs-row speedup lives under
-# "speedups").
+# recorded as BENCH_core.json.
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench 'BenchmarkScanFilterJoin|BenchmarkAdaptiveMispredict|BenchmarkSkewedJoin|BenchmarkConcurrentMixed|BenchmarkStarJoin' -benchtime=3x ./internal/core/ \

@@ -7,9 +7,9 @@
 //
 // Each benchmark result line ("BenchmarkName-8  3  419695899 ns/op  309748
 // rows/s") becomes one entry with its ns/op and any extra ReportMetric
-// units. Ratio pairs (same benchmark name modulo a trailing "/batch" vs
-// "/row" component) additionally produce a "speedup" entry comparing
-// rows/s, which is how the ≥2× batch-vs-row acceptance bar is recorded.
+// units. Any failure in the input — a "--- FAIL" block, a "FAIL" package
+// line or a panic — is an error, so a benchmark that breaks cannot slip
+// through by vanishing from the results.
 //
 // With -compare the parsed results are additionally checked against a
 // previously recorded report: every benchmark present in both must keep its
@@ -39,22 +39,20 @@ type result struct {
 }
 
 type report struct {
-	Go        string             `json:"go,omitempty"`
-	Pkg       string             `json:"pkg,omitempty"`
-	CPU       string             `json:"cpu,omitempty"`
-	Results   []result           `json:"results"`
-	Speedups  map[string]float64 `json:"speedups,omitempty"`
-	SpeedupBy string             `json:"speedup_metric,omitempty"`
+	Go      string   `json:"go,omitempty"`
+	Pkg     string   `json:"pkg,omitempty"`
+	CPU     string   `json:"cpu,omitempty"`
+	Results []result `json:"results"`
 }
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	metric := flag.String("ratio-metric", "rows/s", "metric used for batch-vs-row speedup entries")
+	metric := flag.String("ratio-metric", "rows/s", "metric -compare checks against the baseline (op/s when a result lacks it)")
 	compare := flag.String("compare", "", "baseline report to compare against; exits nonzero on regression")
 	tolerance := flag.Float64("tolerance", 0.85, "minimum new/baseline ratio of the ratio metric allowed by -compare")
 	flag.Parse()
 
-	rep, err := parse(bufio.NewScanner(os.Stdin), *metric)
+	rep, err := parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -135,11 +133,17 @@ func compareBaseline(rep *report, path string, tolerance float64, metric string)
 	return nil
 }
 
-func parse(sc *bufio.Scanner, ratioMetric string) (*report, error) {
-	rep := &report{SpeedupBy: ratioMetric}
+// parse reads `go test -bench` output. It fails on any sign of a failed
+// benchmark or package: the caller would otherwise record, or compare, only
+// the benchmarks that survived.
+func parse(sc *bufio.Scanner) (*report, error) {
+	rep := &report{}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
+		case strings.HasPrefix(line, "--- FAIL"), strings.HasPrefix(line, "panic:"),
+			line == "FAIL", strings.HasPrefix(line, "FAIL\t"), strings.HasPrefix(line, "FAIL "):
+			return nil, fmt.Errorf("benchmark run failed: %q", line)
 		case strings.HasPrefix(line, "goos:"), strings.HasPrefix(line, "goarch:"):
 		case strings.HasPrefix(line, "pkg:"):
 			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
@@ -158,7 +162,6 @@ func parse(sc *bufio.Scanner, ratioMetric string) (*report, error) {
 	if len(rep.Results) == 0 {
 		return nil, fmt.Errorf("no benchmark result lines on stdin")
 	}
-	rep.Speedups = speedups(rep.Results, ratioMetric)
 	return rep, nil
 }
 
@@ -196,44 +199,4 @@ func parseResult(line string) (result, bool) {
 		r.Metrics = nil
 	}
 	return r, true
-}
-
-// speedups pairs ".../batch" results with their ".../row" baseline and
-// records the ratio of the given metric (falling back to inverse ns/op).
-func speedups(results []result, metric string) map[string]float64 {
-	get := func(r result, suffix string) (string, bool) {
-		if !strings.HasSuffix(r.Name, "/"+suffix) {
-			return "", false
-		}
-		return strings.TrimSuffix(r.Name, "/"+suffix), true
-	}
-	value := func(r result) float64 {
-		if v, ok := r.Metrics[metric]; ok {
-			return v
-		}
-		if r.NsPerOp > 0 {
-			return 1e9 / r.NsPerOp
-		}
-		return 0
-	}
-	batch := map[string]float64{}
-	row := map[string]float64{}
-	for _, r := range results {
-		if base, ok := get(r, "batch"); ok {
-			batch[base] = value(r)
-		} else if base, ok := get(r, "row"); ok {
-			row[base] = value(r)
-		}
-	}
-	out := map[string]float64{}
-	for base, bv := range batch {
-		if rv, ok := row[base]; ok && rv > 0 {
-			// Two decimals: enough to read "3.57x" off the file.
-			out[base] = float64(int(bv/rv*100+0.5)) / 100
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }

@@ -65,9 +65,8 @@ import (
 // routing is the committed default and the hybrid partitioner engages
 // only by observed decision.
 
-// adaptiveOn reports whether mid-query switching is active. Row mode keeps
-// the seed's single-pass pipeline untouched, like the skew path.
-func (e *Engine) adaptiveOn() bool { return e.cfg.AdaptiveSwitch && !e.cfg.RowAtATime }
+// adaptiveOn reports whether mid-query switching is active.
+func (e *Engine) adaptiveOn() bool { return e.cfg.AdaptiveSwitch }
 
 // switchKind is the runtime strategy a decision selects.
 type switchKind byte

@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
 	"hybridwh/internal/batch"
+	"hybridwh/internal/cluster"
 	"hybridwh/internal/format"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/netsim"
@@ -55,14 +58,14 @@ func TestBatcherKeepsOtherBuffersOnSendError(t *testing.T) {
 
 	// Two rows buffer for "good" (below the flush threshold of 4)...
 	for i := 0; i < 2; i++ {
-		if err := b.send("good", wideRow(i)); err != nil {
+		if err := b.sendRows("good", []types.Row{wideRow(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// ...then a full batch for "bad" flushes and fails.
 	var sendErr error
 	for i := 0; i < 4 && sendErr == nil; i++ {
-		sendErr = b.send("bad", wideRow(100+i))
+		sendErr = b.sendRows("bad", []types.Row{wideRow(100 + i)})
 	}
 	if sendErr == nil {
 		t.Fatal("send to failing destination did not error")
@@ -101,10 +104,11 @@ func TestBatcherKeepsOtherBuffersOnSendError(t *testing.T) {
 	}
 }
 
-// TestBatchSendsMatchRowSends pins the wire-framing invariant: sendBatch and
-// scatterBatch must produce the exact same message sequence (payload bytes,
-// order, destinations) as per-row send over the same logical rows — that
-// identity is what keeps the byte counters bit-identical to the seed.
+// TestBatchSendsMatchRowSends pins the wire-framing invariant: scatterBatch
+// must produce the exact same message sequence (payload bytes, order,
+// destinations) as queueing the same logical rows one at a time — message
+// boundaries, and so the byte counters, depend only on each destination's
+// row sequence.
 func TestBatchSendsMatchRowSends(t *testing.T) {
 	const size = 4
 	rows := make([]types.Row, 11)
@@ -117,7 +121,7 @@ func TestBatchSendsMatchRowSends(t *testing.T) {
 	rowBus := &recordBus{}
 	rb := testEngine(rowBus, size).newBatcher(context.Background(), "src", "s", dests, "", "", 0)
 	for _, r := range rows {
-		if err := rb.send(destOf(r[0].Int()), r); err != nil {
+		if err := rb.sendRows(destOf(r[0].Int()), []types.Row{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,44 +200,73 @@ func TestSendBatchHonorsSelectionAndProjection(t *testing.T) {
 	}
 }
 
-// TestRowModeMatchesBatchMode runs the repartition family in both execution
-// modes and requires identical results and identical counter snapshots —
-// the Config.RowAtATime baseline is the seed's semantics, so the vectorized
-// path must not move a single counter.
-func TestRowModeMatchesBatchMode(t *testing.T) {
-	run := func(rowMode bool) (map[string]map[string]int64, []*Result) {
-		f := buildFixture(t, netsim.NewChanBus(256), 3, 5, 2000, 6000, format.HWCName)
-		defer f.eng.Close()
-		f.eng.cfg.RowAtATime = rowMode
-		q := exampleQuery(t, f, 300, 400)
-		snaps := map[string]map[string]int64{}
-		var results []*Result
-		for _, alg := range []Algorithm{Repartition, RepartitionBloom, Zigzag} {
-			f.eng.Recorder().Reset()
-			res, err := f.eng.Run(q, alg)
-			if err != nil {
-				t.Fatalf("rowMode=%v %v: %v", rowMode, alg, err)
-			}
-			snaps[alg.String()] = res.Metrics
-			results = append(results, res)
-		}
-		return snaps, results
+// goldenCountersPath holds the counter and bus snapshots of the repartition
+// family on TestBatchPipelineMatchesGoldenCounters's fixture. They were recorded from a per-row execution
+// of the same queries, which the batch pipeline matched counter for counter.
+const goldenCountersPath = "testdata/repartition_counters.golden.json"
+
+// countersRun is one algorithm's deterministic footprint: the recorder
+// snapshot without the per-thread split, and the bus bytes and messages per
+// link class.
+type countersRun struct {
+	Metrics map[string]int64 `json:"metrics"`
+	Bus     map[string]int64 `json:"bus"`
+}
+
+// TestBatchPipelineMatchesGoldenCounters runs Repartition, RepartitionBloom
+// and Zigzag on a 3 DB x 5 JEN HWC fixture. Every result must equal the
+// nested-loop reference, and every deterministic counter and every bus byte
+// and message must equal the golden, so a change to the batch pipeline
+// cannot silently move a Table 1 counter.
+func TestBatchPipelineMatchesGoldenCounters(t *testing.T) {
+	data, err := os.ReadFile(goldenCountersPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	batchSnaps, batchRes := run(false)
-	rowSnaps, rowRes := run(true)
-	if !reflect.DeepEqual(batchSnaps, rowSnaps) {
-		for alg, rs := range rowSnaps {
-			for k, v := range rs {
-				if batchSnaps[alg][k] != v {
-					t.Errorf("%s %s: batch=%d row=%d", alg, k, batchSnaps[alg][k], v)
-				}
-			}
-		}
-		t.Fatal("counter snapshots differ between execution modes")
+	var golden map[string]countersRun
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
 	}
-	for i := range batchRes {
-		if !reflect.DeepEqual(batchRes[i].Rows, rowRes[i].Rows) {
-			t.Fatalf("result rows differ for %v", batchRes[i].Algorithm)
+	f := buildFixture(t, netsim.NewChanBus(256), 3, 5, 2000, 6000, format.HWCName)
+	defer f.eng.Close()
+	want := reference(t, f, 300, 400)
+	q := exampleQuery(t, f, 300, 400)
+	algs := []Algorithm{Repartition, RepartitionBloom, Zigzag}
+	if len(golden) != len(algs) {
+		t.Fatalf("golden has %d algorithms, want %d", len(golden), len(algs))
+	}
+	for _, alg := range algs {
+		g, ok := golden[alg.String()]
+		if !ok {
+			t.Fatalf("%v: missing from the golden", alg)
+		}
+		f.eng.Recorder().Reset()
+		f.eng.Bus().Counters().Reset()
+		res, err := f.eng.Run(q, alg)
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		checkResult(t, res, want, alg)
+		bus := map[string]int64{}
+		for _, cl := range []cluster.LinkClass{cluster.IntraDB, cluster.IntraHDFS, cluster.Cross} {
+			bus["bytes."+cl.String()] = f.eng.Bus().Counters().Bytes(cl)
+			bus["msgs."+cl.String()] = f.eng.Bus().Counters().Messages(cl)
+		}
+		diffCounters(t, alg.String()+" metrics", g.Metrics, dropThreadSplit(res.Metrics))
+		diffCounters(t, alg.String()+" bus", g.Bus, bus)
+	}
+}
+
+func diffCounters(t *testing.T, what string, want, got map[string]int64) {
+	t.Helper()
+	for k, v := range want {
+		if g, ok := got[k]; !ok || g != v {
+			t.Errorf("%s %s = %d (present %v), golden %d", what, k, g, ok, v)
+		}
+	}
+	for k, v := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("%s %s = %d, not in golden", what, k, v)
 		}
 	}
 }

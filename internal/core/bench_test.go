@@ -11,12 +11,9 @@ import (
 )
 
 // BenchmarkScanFilterJoin measures the scan → filter → shuffle → join →
-// aggregate hot path (the repartition algorithm end to end) in both
-// execution modes: the vectorized default and the Config.RowAtATime
-// baseline, which reverts the JEN repartition pipeline to the seed's
-// row-at-a-time semantics. Both modes move identical tuples and bytes (see
-// TestRowModeMatchesBatchMode), so the delta is pure per-row interface
-// overhead — the quantity this PR removes.
+// aggregate hot path (the repartition algorithm end to end). The counters
+// of the same pipeline on a smaller fixture are pinned by
+// TestBatchPipelineMatchesGoldenCounters.
 //
 // "scale=N" sizes the fixture at N× the unit-test base (300 T / 1000 L
 // rows per unit), so scale=100 joins 30k T rows against 100k L rows across
@@ -31,17 +28,14 @@ func BenchmarkScanFilterJoin(b *testing.B) {
 		tN, lN := 300*scale, 1000*scale
 		for _, mode := range []struct {
 			name    string
-			rowMode bool
 			threads int
 		}{
-			{"batch", false, 1},
-			{"batch-mt", false, runtime.GOMAXPROCS(0)},
-			{"row", true, 1},
+			{"batch", 1},
+			{"batch-mt", runtime.GOMAXPROCS(0)},
 		} {
 			b.Run(fmt.Sprintf("scale=%d/%s", scale, mode.name), func(b *testing.B) {
 				f := buildFixture(b, netsim.NewChanBus(256), 4, 6, tN, lN, format.HWCName)
 				defer f.eng.Close()
-				f.eng.cfg.RowAtATime = mode.rowMode
 				f.eng.cfg.WorkerThreads = mode.threads
 				q := exampleQuery(b, f, 300, 400)
 				b.ResetTimer()

@@ -113,15 +113,7 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	b := e.newBatcher(ctx, dbName(i), qs+"dbrows", e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
 
 	if !zig {
-		if e.cfg.RowAtATime {
-			// Seed baseline: materialize T' with the per-row filter/project
-			// and ship it row by row. Same rows, same counters.
-			tw, err := e.db.FilterProject(tbl, i, ap, q.DBProj)
-			pr.fail(err)
-			if runErr == nil {
-				pr.fail(b.scatterRows(tw, q.DBWireKey, destOf))
-			}
-		} else if e.adaptiveOn() {
+		if e.adaptiveOn() {
 			// Adaptive: T' is materialized so its observed size can feed
 			// the switch decision, and routing waits for that decision —
 			// hash home, hybrid scatter, or full broadcast.
@@ -215,11 +207,9 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 // join, implementing the Figure 7 pipeline: receive BF_DB, scan/filter/
 // shuffle while concurrently building the hash table from received rows and
 // buffering database rows in the background, then probe, partially
-// aggregate, and participate in the global aggregation. The pipeline runs
-// batch-at-a-time unless Config.RowAtATime reverts it to the seed baseline.
+// aggregate, and participate in the global aggregation.
 func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.JoinQuery, scanPlan *jen.ScanPlan, w, n, m int, useBF, zig bool, st *adaptState) error {
 	me := jenName(w)
-	rowMode := e.cfg.RowAtATime
 	var runErr error
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
@@ -245,49 +235,28 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		ht = relop.NewMemJoinTable(q.HDFSWireKey)
 	}
 	defer ht.Close()
-	var dbRows []types.Row
 	var dbBatches []*batch.Batch
 	var probeTuples int64
 	// Receiver errors abort the program context (bgFail): if one receiver
 	// hits an incoming MsgError, its sibling and the rest of the program must
 	// not keep waiting for streams a dead peer will never finish.
 	var bg par.Group
-	if rowMode {
-		bg.Go(func() error {
-			var recv int64
-			err := e.recvRows(ctx, me, qs+"shuffle", n, func(r types.Row) error {
-				recv++
-				return ht.Insert(r)
-			})
-			e.rec.AddAt(metrics.JENRecvTuples, w, recv)
-			pr.bgFail(err)
-			return err
+	bg.Go(func() error {
+		var recv int64
+		err := e.recvBatches(ctx, me, qs+"shuffle", n, func(b *batch.Batch) error {
+			recv += int64(b.Len())
+			return ht.InsertBatch(b)
 		})
-		bg.Go(func() error {
-			rows, err := e.collectRows(ctx, me, qs+"dbrows", m)
-			dbRows = rows
-			probeTuples = int64(len(rows))
-			pr.bgFail(err)
-			return err
-		})
-	} else {
-		bg.Go(func() error {
-			var recv int64
-			err := e.recvBatches(ctx, me, qs+"shuffle", n, func(b *batch.Batch) error {
-				recv += int64(b.Len())
-				return ht.InsertBatch(b)
-			})
-			e.rec.AddAt(metrics.JENRecvTuples, w, recv)
-			pr.bgFail(err)
-			return err
-		})
-		bg.Go(func() error {
-			bs, tuples, err := e.collectBatches(ctx, me, qs+"dbrows", m)
-			dbBatches, probeTuples = bs, tuples
-			pr.bgFail(err)
-			return err
-		})
-	}
+		e.rec.AddAt(metrics.JENRecvTuples, w, recv)
+		pr.bgFail(err)
+		return err
+	})
+	bg.Go(func() error {
+		bs, tuples, err := e.collectBatches(ctx, me, qs+"dbrows", m)
+		dbBatches, probeTuples = bs, tuples
+		pr.bgFail(err)
+		return err
+	})
 
 	// Scan + process + send, all pipelined.
 	var bfh *bloom.Filter
@@ -302,8 +271,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		Proj: q.HDFSScanProj, Pred: q.HDFSPred, Pruner: q.Pruner(),
 		DBFilter: wrapBloom(bfdb), BuildBloom: bfh, BloomKeyIdx: scanKey,
 		// Morsel workers filter, bloom-probe and shuffle concurrently; the
-		// shared batcher keeps message counts deterministic (row mode forces
-		// the single-threaded seed pipeline inside ScanFilter).
+		// shared batcher keeps message counts deterministic.
 		Threads: e.cfg.WorkerThreads,
 		Mem:     bud,
 	}
@@ -326,13 +294,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 	var buffered []*batch.Batch
 	if runErr == nil {
 		var err error
-		if rowMode {
-			err = e.jen.ScanFilter(spec, func(r types.Row) error {
-				wire := r.Project(q.HDFSWire)
-				//lint:ignore rowloop deliberate row-at-a-time baseline (Config.RowAtATime)
-				return b.send(destOf(wire[q.HDFSWireKey].Int()), wire)
-			})
-		} else if aw != nil {
+		if aw != nil {
 			// Adaptive: buffer, observe and poll for the switch decision;
 			// routing starts the moment the decision lands (see adaptive.go).
 			err = e.jen.ScanFilterBatches(spec, aw.onBatch)
@@ -438,16 +400,12 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		// The buffered probe side is charged to the query budget for the
 		// probe's duration (the build side accounts for itself inside the
 		// spilling table).
-		charged := chargeBatches(bud, dbBatches) + chargeRows(bud, dbRows)
+		charged := chargeBatches(bud, dbBatches)
 		defer bud.Release(charged)
 
 		// Probe with the database rows; combined layout is HDFS wire ++ DB wire.
 		if runErr == nil {
-			if rowMode {
-				pr.fail(e.probeAndAggregate(ht, dbRows, q, agg, w))
-			} else {
-				pr.fail(e.probeAndAggregateBatches(ht, dbBatches, q, agg, e.cfg.WorkerThreads))
-			}
+			pr.fail(e.probeAndAggregateBatches(ht, dbBatches, q, agg, e.cfg.WorkerThreads))
 		}
 		e.recordSpillStats(ht, w)
 	}
@@ -472,8 +430,7 @@ func (e *Engine) newJoinTable(qs string, keyIdx int) (relop.JoinTable, error) {
 // combiner accumulates join matches (build row ++ probe row) into a
 // combined-layout batch; when the batch fills, the post-join predicate runs
 // as a batch filter and the survivors fold into the partial aggregate
-// batch-at-a-time. output counts survivors, exactly as the per-row
-// evalPost/agg.Add path did.
+// batch-at-a-time. output counts survivors.
 type combiner struct {
 	e      *Engine
 	q      *plan.JoinQuery
@@ -508,42 +465,13 @@ func (c *combiner) flush() error {
 	return nil
 }
 
-// probeAndAggregate probes the table of HDFS rows with database rows,
-// applies the post-join predicate and folds survivors into the partial
-// aggregate. Spilled matches surface during Drain. This is the row-at-a-time
-// baseline path (Config.RowAtATime).
-func (e *Engine) probeAndAggregate(ht relop.JoinTable, dbRows []types.Row, q *plan.JoinQuery, agg *relop.HashAgg, slot int) error {
-	var output int64
-	emit := func(hr, dbr types.Row) error {
-		combined := hr.Concat(dbr)
-		ok, err := evalPost(q, combined)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		output++
-		return agg.Add(combined)
-	}
-	for _, dbr := range dbRows {
-		if err := ht.Probe(dbr, q.DBWireKey, emit); err != nil {
-			return err
-		}
-	}
-	if err := ht.Drain(emit); err != nil {
-		return err
-	}
-	e.rec.Add(metrics.JoinOutputTuples, output)
-	return nil
-}
-
-// probeAndAggregateBatches is the batch path of probeAndAggregate: probe
-// batches drive JoinTable.ProbeBatch and matches accumulate through a
-// combiner. Counters are identical to the row path. With threads > 1 and a
-// purely in-memory table the probe fans out across goroutines; the spilling
-// table stays sequential (its partition files are not safe for concurrent
-// probing).
+// probeAndAggregateBatches probes the table of HDFS rows with the buffered
+// database batches, applies the post-join predicate and folds survivors into
+// the partial aggregate: probe batches drive JoinTable.ProbeBatch, matches
+// accumulate through a combiner, and spilled matches surface during Drain.
+// With threads > 1 and a purely in-memory table the probe fans out across
+// goroutines; the spilling table stays sequential (its partition files are
+// not safe for concurrent probing).
 func (e *Engine) probeAndAggregateBatches(ht relop.JoinTable, probes []*batch.Batch, q *plan.JoinQuery, agg *relop.HashAgg, threads int) error {
 	if mem, isMem := ht.(*relop.MemJoinTable); isMem && threads > 1 && len(probes) > 1 {
 		return e.probeAndAggregateParallel(mem, probes, q, agg, threads)
@@ -659,18 +587,6 @@ func (e *Engine) finishAggregation(ctx context.Context, qs string, groupBy []exp
 		pr.fail(fb.CloseWith(runErr))
 	}
 	return runErr
-}
-
-// evalPost evaluates the post-join predicate over a combined row.
-func evalPost(q *plan.JoinQuery, combined types.Row) (bool, error) {
-	if q.PostJoin == nil {
-		return true, nil
-	}
-	v, err := q.PostJoin.Eval(combined)
-	if err != nil {
-		return false, err
-	}
-	return v.Truth(), nil
 }
 
 // colSet returns the columns a predicate references.

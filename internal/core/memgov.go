@@ -40,8 +40,8 @@ func chargeBatches(bud *mem.Budget, bs []*batch.Batch) int64 {
 	return n
 }
 
-// chargeRows is chargeBatches for the row-at-a-time baseline's buffered
-// probe rows.
+// chargeRows is chargeBatches for materialized rows: RunMulti's buffered
+// fact and dimension rows between its join steps.
 func chargeRows(bud *mem.Budget, rows []types.Row) int64 {
 	if bud == nil || len(rows) == 0 {
 		return 0

@@ -36,11 +36,11 @@ func dropThreadSplit(snap map[string]int64) map[string]int64 {
 }
 
 // parallelSweep runs every algorithm on a fresh identically-seeded fixture
-// with the given thread count and returns per-algorithm result rows, cleaned
-// counter snapshots and bus counters.
-func parallelSweep(t *testing.T, threads int) (rows map[string][][]string, snaps map[string]map[string]int64, bus map[string]int64) {
+// over the given bus with the given thread count and returns per-algorithm
+// result rows, cleaned counter snapshots and bus counters.
+func parallelSweep(t *testing.T, bus netsim.Bus, threads int) (rows map[string][][]string, snaps map[string]map[string]int64, busCounters map[string]int64) {
 	t.Helper()
-	f := buildFixture(t, netsim.NewChanBus(256), 3, 5, 2000, 6000, format.HWCName)
+	f := buildFixture(t, bus, 3, 5, 2000, 6000, format.HWCName)
 	defer f.eng.Close()
 	f.eng.cfg.WorkerThreads = threads
 	q := exampleQuery(t, f, 300, 400)
@@ -59,22 +59,23 @@ func parallelSweep(t *testing.T, threads int) (rows map[string][][]string, snaps
 		rows[alg.String()] = rendered
 		snaps[alg.String()] = dropThreadSplit(res.Metrics)
 	}
-	bus = map[string]int64{}
+	busCounters = map[string]int64{}
 	for _, cl := range []cluster.LinkClass{cluster.IntraDB, cluster.IntraHDFS, cluster.Cross} {
-		bus["bytes."+cl.String()] = f.eng.Bus().Counters().Bytes(cl)
-		bus["msgs."+cl.String()] = f.eng.Bus().Counters().Messages(cl)
+		busCounters["bytes."+cl.String()] = f.eng.Bus().Counters().Bytes(cl)
+		busCounters["msgs."+cl.String()] = f.eng.Bus().Counters().Messages(cl)
 	}
-	return rows, snaps, bus
+	return rows, snaps, busCounters
 }
 
-// TestWorkerThreadsDeterministic is the PR's determinism contract: a
+// TestWorkerThreadsDeterministic is the determinism contract: a
 // multi-threaded sweep must reproduce the single-threaded sweep's results
 // and every counter outside the per-thread split — including bus message and
 // byte totals — and a second multi-threaded sweep must reproduce the first
-// (scheduling independence).
+// (scheduling independence). The counters are also transport-independent: a
+// single-threaded sweep over TCP must reproduce the in-process one.
 func TestWorkerThreadsDeterministic(t *testing.T) {
-	seqRows, seqSnaps, seqBus := parallelSweep(t, 1)
-	parRows, parSnaps, parBus := parallelSweep(t, 4)
+	seqRows, seqSnaps, seqBus := parallelSweep(t, netsim.NewChanBus(256), 1)
+	parRows, parSnaps, parBus := parallelSweep(t, netsim.NewChanBus(256), 4)
 	if !reflect.DeepEqual(seqRows, parRows) {
 		t.Fatal("result rows differ between WorkerThreads=1 and WorkerThreads=4")
 	}
@@ -95,9 +96,30 @@ func TestWorkerThreadsDeterministic(t *testing.T) {
 		t.Fatalf("bus counters differ: threads=1 %v, threads=4 %v", seqBus, parBus)
 	}
 
-	againRows, againSnaps, againBus := parallelSweep(t, 4)
+	againRows, againSnaps, againBus := parallelSweep(t, netsim.NewChanBus(256), 4)
 	if !reflect.DeepEqual(parRows, againRows) || !reflect.DeepEqual(parSnaps, againSnaps) || !reflect.DeepEqual(parBus, againBus) {
 		t.Fatal("two WorkerThreads=4 sweeps disagree: parallel execution is not deterministic")
+	}
+
+	tcpRows, tcpSnaps, tcpBus := parallelSweep(t, netsim.NewTCPBus(256), 1)
+	if !reflect.DeepEqual(seqRows, tcpRows) {
+		t.Fatal("result rows differ between ChanBus and TCPBus")
+	}
+	for alg, ss := range seqSnaps {
+		ts := tcpSnaps[alg]
+		for k, v := range ss {
+			if ts[k] != v {
+				t.Errorf("%s %s: ChanBus %d, TCPBus %d", alg, k, v, ts[k])
+			}
+		}
+		for k := range ts {
+			if _, ok := ss[k]; !ok {
+				t.Errorf("%s %s: present only over TCPBus", alg, k)
+			}
+		}
+	}
+	if !reflect.DeepEqual(seqBus, tcpBus) {
+		t.Fatalf("bus counters differ: ChanBus %v, TCPBus %v", seqBus, tcpBus)
 	}
 }
 

@@ -29,7 +29,8 @@ import (
 // sending worker. The wire encoding (batch.EncodeBatch) is byte-identical
 // to types.EncodeRows over the same rows, and a buffer flushes exactly when
 // it reaches cfg.BatchRows rows, so message boundaries — and therefore the
-// byte counters — match the seed's row-at-a-time batcher bit for bit.
+// byte counters — depend only on each destination's row sequence, not on
+// how the rows were grouped into input batches.
 //
 // A batcher is safe for concurrent use: morsel workers (Config.WorkerThreads
 // > 1) feed one shared batcher per stream under its mutex. Sharing — rather
@@ -86,25 +87,6 @@ func (b *batcher) sendLocked(dest string, row types.Row) error {
 	b.tuples++
 	if bb.Full() {
 		return b.flushLocked(dest)
-	}
-	return nil
-}
-
-// send queues one row for dest, flushing a full batch.
-func (b *batcher) send(dest string, row types.Row) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sendLocked(dest, row)
-}
-
-// broadcast queues one row for every destination.
-func (b *batcher) broadcast(row types.Row) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, d := range b.dests {
-		if err := b.sendLocked(d, row); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -37,9 +37,8 @@ import (
 // sequential tail. Worth it exactly when one key would otherwise serialize
 // the join on a single worker.
 
-// skewOn reports whether the skew-resilient shuffle is active. Row mode
-// keeps the seed's single-pass pipeline untouched.
-func (e *Engine) skewOn() bool { return e.cfg.SkewThreshold > 0 && !e.cfg.RowAtATime }
+// skewOn reports whether the skew-resilient shuffle is active.
+func (e *Engine) skewOn() bool { return e.cfg.SkewThreshold > 0 }
 
 // sendSketch ships a marshalled sketch, accounting its bytes like the Bloom
 // filters and key sets that travel the same fan-in lanes.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"hybridwh/internal/batch"
 	"hybridwh/internal/bloom"
 	"hybridwh/internal/catalog"
 	"hybridwh/internal/expr"
@@ -53,6 +54,15 @@ func makeCluster(t *testing.T, formatName string, workers, n int) *Cluster {
 	return c
 }
 
+// scanRows runs spec through ScanFilterBatches on one thread and yields a
+// fresh copy of every surviving row.
+func scanRows(c *Cluster, spec ScanSpec, yield func(types.Row) error) error {
+	spec.Threads = 1
+	return c.ScanFilterBatches(spec, func(b *batch.Batch) error {
+		return b.Each(func(i int) error { return yield(b.CloneRow(i)) })
+	})
+}
+
 func TestNewValidation(t *testing.T) {
 	dfs := hdfs.New(hdfs.Config{DataNodes: 2, BlockSize: 1024})
 	if _, err := New(Config{Workers: 0}, dfs, catalog.New(), nil); err == nil {
@@ -94,7 +104,7 @@ func TestPlanScanCoversEverything(t *testing.T) {
 			var total int64
 			for w := 0; w < c.Workers(); w++ {
 				w := w
-				err := c.ScanFilter(ScanSpec{Plan: plan, Worker: w, Proj: []int{0}}, func(r types.Row) error {
+				err := scanRows(c, ScanSpec{Plan: plan, Worker: w, Proj: []int{0}}, func(r types.Row) error {
 					mu.Lock()
 					counts[r[0].Int()]++
 					total++
@@ -154,7 +164,7 @@ func TestScanFilterPredicateAndProjection(t *testing.T) {
 	pred := expr.NewCmp(expr.LE, expr.NewCol(1, "corPred", types.KindInt32), expr.NewLit(types.Int32(99)))
 	var total int64
 	for w := 0; w < c.Workers(); w++ {
-		err := c.ScanFilter(ScanSpec{Plan: plan, Worker: w, Proj: proj, Pred: pred}, func(r types.Row) error {
+		err := scanRows(c, ScanSpec{Plan: plan, Worker: w, Proj: proj, Pred: pred}, func(r types.Row) error {
 			if len(r) != 2 {
 				return fmt.Errorf("row width %d", len(r))
 			}
@@ -194,7 +204,7 @@ func TestScanFilterDBBloomPrunes(t *testing.T) {
 	var kept int64
 	fp := 0
 	for w := 0; w < c.Workers(); w++ {
-		err := c.ScanFilter(ScanSpec{
+		err := scanRows(c, ScanSpec{
 			Plan: plan, Worker: w, Proj: []int{0}, DBFilter: BloomKeyFilter{F: bf}, BloomKeyIdx: 0,
 		}, func(r types.Row) error {
 			kept++
@@ -227,7 +237,7 @@ func TestScanFilterBuildsBFH(t *testing.T) {
 	locals := make([]*bloom.Filter, c.Workers())
 	for w := 0; w < c.Workers(); w++ {
 		locals[w] = bloom.New(1<<16, 2)
-		err := c.ScanFilter(ScanSpec{
+		err := scanRows(c, ScanSpec{
 			Plan: plan, Worker: w, Proj: []int{0, 1}, Pred: pred,
 			BuildBloom: locals[w], BloomKeyIdx: 0,
 		}, func(types.Row) error { return nil })
@@ -257,7 +267,7 @@ func TestScanFilterYieldErrorStopsPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	sentinel := fmt.Errorf("stop")
-	err = c.ScanFilter(ScanSpec{Plan: plan, Worker: 0, Proj: []int{0}}, func(types.Row) error {
+	err = scanRows(c, ScanSpec{Plan: plan, Worker: 0, Proj: []int{0}}, func(types.Row) error {
 		return sentinel
 	})
 	if err != sentinel {
@@ -285,7 +295,7 @@ func TestScanFilterEmptyWorker(t *testing.T) {
 	}
 	var total int
 	for w := 0; w < 8; w++ {
-		if err := c.ScanFilter(ScanSpec{Plan: plan, Worker: w, Proj: []int{0}}, func(types.Row) error {
+		if err := scanRows(c, ScanSpec{Plan: plan, Worker: w, Proj: []int{0}}, func(types.Row) error {
 			total++
 			return nil
 		}); err != nil {
@@ -306,7 +316,7 @@ func TestHWCPrunerPushdown(t *testing.T) {
 	// Without pruner.
 	noop := func(types.Row) error { return nil }
 	for w := 0; w < c.Workers(); w++ {
-		if err := c.ScanFilter(ScanSpec{Plan: plan, Worker: w, Proj: []int{0}}, noop); err != nil {
+		if err := scanRows(c, ScanSpec{Plan: plan, Worker: w, Proj: []int{0}}, noop); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,7 +325,7 @@ func TestHWCPrunerPushdown(t *testing.T) {
 	// With an impossible range: every group pruned, near-zero bytes.
 	pruner := &format.Pruner{Ranges: []format.IntRange{{Col: 1, Lo: 5000, Hi: 6000}}}
 	for w := 0; w < c.Workers(); w++ {
-		if err := c.ScanFilter(ScanSpec{Plan: plan, Worker: w, Proj: []int{0}, Pruner: pruner}, noop); err != nil {
+		if err := scanRows(c, ScanSpec{Plan: plan, Worker: w, Proj: []int{0}, Pruner: pruner}, noop); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -333,7 +343,7 @@ func TestLocalityShortCircuitReads(t *testing.T) {
 	}
 	c.HDFS().ResetReadCounters()
 	for w := 0; w < c.Workers(); w++ {
-		if err := c.ScanFilter(ScanSpec{Plan: plan, Worker: w, Proj: []int{0}}, func(types.Row) error { return nil }); err != nil {
+		if err := scanRows(c, ScanSpec{Plan: plan, Worker: w, Proj: []int{0}}, func(types.Row) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

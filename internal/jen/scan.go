@@ -332,48 +332,6 @@ func (c *Cluster) filterBatch(spec ScanSpec, b *batch.Batch, hashes *[]uint64, h
 	return nil
 }
 
-// ScanFilter is the row-at-a-time baseline over the batch scan: the shared
-// readers still decode columnar batches, but everything downstream runs per
-// row — each physical row is materialized, the predicate goes through
-// expr.EvalPred (one interface dispatch per tree node per row), and the key
-// filter and BF_H construction hash one key at a time. This reproduces the
-// seed's per-row pipeline for core.Config.RowAtATime and the
-// BenchmarkScanFilterJoin baseline. Counters are unaffected: the scan and
-// process counters charge physical rows before any filtering, and the
-// surviving row set is identical. Yielded rows are freshly materialized, so
-// callers may retain them (send buffers and hash tables do).
-func (c *Cluster) ScanFilter(spec ScanSpec, yield func(types.Row) error) error {
-	rowSpec := spec
-	rowSpec.Pred, rowSpec.DBFilter, rowSpec.BuildBloom = nil, nil, nil
-	rowSpec.Cascade = nil
-	rowSpec.BuildSketch = nil // skew handling is a batch-mode feature
-	rowSpec.Progress = nil    // adaptive execution is too; batch counts would miscount survivors here
-	rowSpec.Threads = 1       // the seed pipeline is strictly single-threaded
-	return c.ScanFilterBatches(rowSpec, func(b *batch.Batch) error {
-		return b.Each(func(i int) error {
-			row := b.CloneRow(i)
-			if spec.Pred != nil {
-				ok, err := expr.EvalPred(spec.Pred, row)
-				if err != nil || !ok {
-					return err
-				}
-			}
-			if spec.DBFilter != nil && !spec.DBFilter.TestKey(row[spec.BloomKeyIdx].Int()) {
-				return nil
-			}
-			for _, cf := range spec.Cascade {
-				if !cf.Filter.TestKey(row[cf.KeyIdx].Int()) {
-					return nil
-				}
-			}
-			if spec.BuildBloom != nil {
-				spec.BuildBloom.AddHash(types.BloomHashKey(row[spec.BloomKeyIdx].Int()))
-			}
-			return yield(row)
-		})
-	})
-}
-
 // ScanPrefix returns the first n rows, at full width, of worker's share of
 // the scan plan. It reads the worker's work units in plan order on the
 // caller's goroutine and stops inside the row group (HWC) or split (text)

@@ -203,8 +203,9 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 	}
 }
 
-// TestProbeBatchMatchesProbe runs the same probes through Probe and
-// ProbeBatch against both JoinTable implementations.
+// TestProbeBatchMatchesProbe runs the same probes through one ProbeBatch
+// call against both JoinTable implementations and through HashTable.Probe
+// key by key.
 func TestProbeBatchMatchesProbe(t *testing.T) {
 	build := make([]types.Row, 40)
 	for i := range build {
@@ -225,7 +226,7 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			jt := mk()
 			for _, r := range build {
-				if err := jt.Insert(r); err != nil {
+				if err := jt.InsertBatch(rowBatch(r)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -247,8 +248,8 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 			if err := jt.Drain(collect); err != nil {
 				t.Fatal(err)
 			}
-			// Reference: row-at-a-time probes against a fresh mem table.
-			ref := NewMemJoinTable(0)
+			// Reference: per-key probes against a fresh hash table.
+			ref := NewHashTable(0)
 			for _, r := range build {
 				if err := ref.Insert(r); err != nil {
 					t.Fatal(err)
@@ -256,11 +257,8 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 			}
 			var want []string
 			for _, p := range probes {
-				if err := ref.Probe(p, 1, func(b, p types.Row) error {
+				for _, b := range ref.Probe(p[1].Int()) {
 					want = append(want, fmt.Sprintf("%v|%v", b, p))
-					return nil
-				}); err != nil {
-					t.Fatal(err)
 				}
 			}
 			sort.Strings(got)

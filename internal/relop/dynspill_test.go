@@ -143,7 +143,7 @@ func TestSharedBudgetPressureEvicts(t *testing.T) {
 	}
 	// Fill s1 within budget: no eviction yet.
 	for _, r := range build {
-		if err := s1.Insert(r); err != nil {
+		if err := s1.InsertBatch(rowBatch(r)); err != nil {
 			t.Fatal(err)
 		}
 	}

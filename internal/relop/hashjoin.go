@@ -10,7 +10,6 @@ import (
 	"runtime"
 
 	"hybridwh/internal/batch"
-	"hybridwh/internal/expr"
 	"hybridwh/internal/par"
 	"hybridwh/internal/types"
 )
@@ -262,29 +261,4 @@ func (h *HashTable) EachRow(fn func(types.Row) error) error {
 		}
 	}
 	return nil
-}
-
-// Join streams the equi-join of probe rows against the table. For each
-// probe row and each match, the combined row is built(Build-side row first,
-// then probe row), filtered by post (which sees the combined layout), and
-// passed to yield.
-func (h *HashTable) Join(probeRow types.Row, probeKeyIdx int, post expr.Expr, yield func(types.Row) error) (matches int64, err error) {
-	if probeKeyIdx >= len(probeRow) {
-		return 0, fmt.Errorf("relop: probe key column %d out of range (row has %d)", probeKeyIdx, len(probeRow))
-	}
-	for _, b := range h.Probe(probeRow[probeKeyIdx].Int()) {
-		combined := b.Concat(probeRow)
-		ok, err := expr.EvalPred(post, combined)
-		if err != nil {
-			return matches, err
-		}
-		if !ok {
-			continue
-		}
-		matches++
-		if err := yield(combined); err != nil {
-			return matches, err
-		}
-	}
-	return matches, nil
 }

@@ -36,23 +36,35 @@ func TestHashTableBuildProbe(t *testing.T) {
 
 func TestHashTableJoin(t *testing.T) {
 	// Build side: (joinKey, name). Probe side: (uid, joinKey).
-	h := NewHashTable(0)
+	jt := NewMemJoinTable(0)
 	for _, r := range []types.Row{
 		{types.Int32(1), types.String("a")},
 		{types.Int32(1), types.String("b")},
 		{types.Int32(2), types.String("c")},
 	} {
-		if err := h.Insert(r); err != nil {
+		if err := jt.InsertBatch(rowBatch(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var got []types.Row
-	matches, err := h.Join(types.Row{types.Int64(100), types.Int32(1)}, 1, nil, func(r types.Row) error {
-		got = append(got, r)
-		return nil
-	})
-	if err != nil || matches != 2 || len(got) != 2 {
-		t.Fatalf("Join: %d matches, %v", matches, err)
+	if err := jt.FinishBuild(); err != nil {
+		t.Fatal(err)
+	}
+	// join probes uid 100 on key 1 and keeps the combined rows that pass post.
+	join := func(post expr.Expr) ([]types.Row, error) {
+		var got []types.Row
+		err := jt.ProbeBatch(rowBatch(types.Row{types.Int64(100), types.Int32(1)}), 1, func(b, p types.Row) error {
+			combined := b.Concat(p)
+			ok, err := expr.EvalPred(post, combined)
+			if ok {
+				got = append(got, combined)
+			}
+			return err
+		})
+		return got, err
+	}
+	got, err := join(nil)
+	if err != nil || len(got) != 2 {
+		t.Fatalf("Join: %d matches, %v", len(got), err)
 	}
 	// Combined layout: build cols then probe cols.
 	if got[0][1].Str() != "a" || got[0][2].Int() != 100 {
@@ -60,12 +72,11 @@ func TestHashTableJoin(t *testing.T) {
 	}
 	// Post-join predicate filters matches: keep only name = "b".
 	post := expr.NewCmp(expr.EQ, expr.NewCol(1, "name", types.KindString), expr.NewLit(types.String("b")))
-	matches, err = h.Join(types.Row{types.Int64(100), types.Int32(1)}, 1, post, func(types.Row) error { return nil })
-	if err != nil || matches != 1 {
-		t.Errorf("post-join filter: %d matches, %v", matches, err)
+	if got, err := join(post); err != nil || len(got) != 1 {
+		t.Errorf("post-join filter: %d matches, %v", len(got), err)
 	}
 	// Probe key out of range.
-	if _, err := h.Join(types.Row{}, 3, nil, nil); err == nil {
+	if err := jt.ProbeBatch(rowBatch(types.Row{}), 3, nil); err == nil {
 		t.Error("probe key out of range: want error")
 	}
 }

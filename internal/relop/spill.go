@@ -31,21 +31,17 @@ import (
 // JoinTable abstracts the build side of a local equi-join so engines can
 // switch between the in-memory and spilling implementations.
 type JoinTable interface {
-	// Insert adds a build-side row.
-	Insert(row types.Row) error
 	// InsertBatch adds every live row of a batch. The batch is on loan: the
 	// table copies what it keeps.
 	InsertBatch(b *batch.Batch) error
 	// Len reports the inserted row count.
 	Len() int64
-	// FinishBuild seals the build side; Probe may be called after.
+	// FinishBuild seals the build side; ProbeBatch may be called after.
 	FinishBuild() error
-	// Probe emits the build rows matching the probe row's key — possibly
-	// deferring spilled matches to Drain.
-	Probe(probeRow types.Row, probeKeyIdx int, emit func(buildRow, probeRow types.Row) error) error
-	// ProbeBatch probes every live row of a batch. The probe row passed to
-	// emit aliases scratch storage valid only for that call; spilled matches
-	// are deferred to Drain, exactly as with Probe.
+	// ProbeBatch emits, for every live row of a batch, the build rows
+	// matching its key — possibly deferring spilled matches to Drain. The
+	// probe row passed to emit aliases scratch storage valid only for that
+	// call.
 	ProbeBatch(b *batch.Batch, probeKeyIdx int, emit func(buildRow, probeRow types.Row) error) error
 	// Drain emits all deferred matches and releases resources.
 	Drain(emit func(buildRow, probeRow types.Row) error) error
@@ -61,9 +57,6 @@ func NewMemJoinTable(keyIdx int) *MemJoinTable {
 	return &MemJoinTable{H: NewHashTable(keyIdx)}
 }
 
-// Insert implements JoinTable.
-func (m *MemJoinTable) Insert(row types.Row) error { return m.H.Insert(row) }
-
 // InsertBatch implements JoinTable via the arena bulk insert.
 func (m *MemJoinTable) InsertBatch(b *batch.Batch) error { return m.H.InsertBatch(b) }
 
@@ -74,19 +67,6 @@ func (m *MemJoinTable) Len() int64 { return m.H.Len() }
 // probes (possibly from several goroutines) never mutate it.
 func (m *MemJoinTable) FinishBuild() error {
 	m.H.Build()
-	return nil
-}
-
-// Probe implements JoinTable.
-func (m *MemJoinTable) Probe(probeRow types.Row, probeKeyIdx int, emit func(buildRow, probeRow types.Row) error) error {
-	if probeKeyIdx >= len(probeRow) {
-		return fmt.Errorf("relop: probe key column %d out of range", probeKeyIdx)
-	}
-	for _, b := range m.H.Probe(probeRow[probeKeyIdx].Int()) {
-		if err := emit(b, probeRow); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -237,7 +217,7 @@ func newParts(n int) []*spillPart {
 }
 
 // Configure overrides the partition fan-out and recursion depth bound
-// (testing and tuning). It must be called before the first Insert.
+// (testing and tuning). It must be called before the first InsertBatch.
 func (s *SpillingHashTable) Configure(fanout, maxDepth int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -408,13 +388,6 @@ func (s *SpillingHashTable) shed(need int64) int64 {
 	return freed
 }
 
-// Insert implements JoinTable.
-func (s *SpillingHashTable) Insert(row types.Row) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.insertLocked(row)
-}
-
 // InsertBatch implements JoinTable. Rows are cloned row-at-a-time: resident
 // partitions retain them, and the budget accounting is per row.
 func (s *SpillingHashTable) InsertBatch(b *batch.Batch) error {
@@ -498,17 +471,11 @@ func (s *SpillingHashTable) FinishBuild() error {
 	return nil
 }
 
-// Probe implements JoinTable. Matches in resident partitions are emitted
+// probeLocked probes one row. Matches in resident partitions are emitted
 // immediately; probe rows for spilled partitions go to disk and their
 // matches appear during Drain. A partition evicted mid-probe stays exact:
 // probes before the eviction matched the complete sealed partition, probes
 // after it are deferred and joined against the complete build file.
-func (s *SpillingHashTable) Probe(probeRow types.Row, probeKeyIdx int, emit func(buildRow, probeRow types.Row) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.probeLocked(probeRow, probeKeyIdx, emit)
-}
-
 func (s *SpillingHashTable) probeLocked(probeRow types.Row, probeKeyIdx int, emit func(buildRow, probeRow types.Row) error) error {
 	if !s.sealed {
 		return fmt.Errorf("relop: probe before FinishBuild")

@@ -9,12 +9,20 @@ import (
 	"hybridwh/internal/types"
 )
 
+// rowBatch wraps one row in a batch of its width, so row-shaped fixtures can
+// drive the batch-only JoinTable API.
+func rowBatch(r types.Row) *batch.Batch {
+	b := batch.New(len(r), 1)
+	b.AppendRow(r)
+	return b
+}
+
 // joinAll runs a full build+probe+drain cycle and returns the matched
 // (buildKey, probePayload) pairs, sorted.
 func joinAll(t *testing.T, jt JoinTable, build, probe []types.Row, probeKeyIdx int) []string {
 	t.Helper()
 	for _, r := range build {
-		if err := jt.Insert(r); err != nil {
+		if err := jt.InsertBatch(rowBatch(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -27,7 +35,7 @@ func joinAll(t *testing.T, jt JoinTable, build, probe []types.Row, probeKeyIdx i
 		return nil
 	}
 	for _, r := range probe {
-		if err := jt.Probe(r, probeKeyIdx, emit); err != nil {
+		if err := jt.ProbeBatch(rowBatch(r), probeKeyIdx, emit); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,19 +181,19 @@ func TestSpillingUsageErrors(t *testing.T) {
 	}
 	defer sp.Close()
 	row := types.Row{types.Int32(1)}
-	if err := sp.Probe(row, 0, nil); err == nil {
+	if err := sp.ProbeBatch(rowBatch(row), 0, nil); err == nil {
 		t.Error("probe before FinishBuild: want error")
 	}
-	if err := sp.Insert(types.Row{}); err == nil {
+	if err := sp.InsertBatch(rowBatch(types.Row{})); err == nil {
 		t.Error("key out of range: want error")
 	}
 	if err := sp.FinishBuild(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.Insert(row); err == nil {
+	if err := sp.InsertBatch(rowBatch(row)); err == nil {
 		t.Error("insert after FinishBuild: want error")
 	}
-	if err := sp.Probe(types.Row{}, 5, nil); err == nil {
+	if err := sp.ProbeBatch(rowBatch(types.Row{}), 5, nil); err == nil {
 		t.Error("probe key out of range: want error")
 	}
 }
@@ -197,7 +205,7 @@ func TestSpillingEmitErrorPropagates(t *testing.T) {
 	}
 	build := mkRows(500, 20, "b")
 	for _, r := range build {
-		if err := sp.Insert(r); err != nil {
+		if err := sp.InsertBatch(rowBatch(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +214,7 @@ func TestSpillingEmitErrorPropagates(t *testing.T) {
 	}
 	boom := fmt.Errorf("boom")
 	for _, r := range mkRows(100, 20, "p") {
-		if err := sp.Probe(r, 0, func(_, _ types.Row) error { return boom }); err != nil && err != boom {
+		if err := sp.ProbeBatch(rowBatch(r), 0, func(_, _ types.Row) error { return boom }); err != nil && err != boom {
 			t.Fatal(err)
 		}
 	}
@@ -217,7 +225,7 @@ func TestSpillingEmitErrorPropagates(t *testing.T) {
 
 func TestMemJoinTableInterface(t *testing.T) {
 	var jt JoinTable = NewMemJoinTable(0)
-	if err := jt.Insert(types.Row{types.Int32(1), types.String("x")}); err != nil {
+	if err := jt.InsertBatch(rowBatch(types.Row{types.Int32(1), types.String("x")})); err != nil {
 		t.Fatal(err)
 	}
 	if jt.Len() != 1 {
@@ -227,7 +235,7 @@ func TestMemJoinTableInterface(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := jt.Probe(types.Row{types.Int32(1)}, 0, func(b, p types.Row) error {
+	if err := jt.ProbeBatch(rowBatch(types.Row{types.Int32(1)}), 0, func(b, p types.Row) error {
 		n++
 		return nil
 	}); err != nil {
@@ -236,7 +244,7 @@ func TestMemJoinTableInterface(t *testing.T) {
 	if n != 1 {
 		t.Errorf("matches = %d", n)
 	}
-	if err := jt.Probe(types.Row{}, 3, nil); err == nil {
+	if err := jt.ProbeBatch(rowBatch(types.Row{}), 3, nil); err == nil {
 		t.Error("probe key out of range: want error")
 	}
 	if err := jt.Drain(nil); err != nil {

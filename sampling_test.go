@@ -1,14 +1,12 @@
 package hybridwh
 
 import (
-	"errors"
 	"math"
 	"reflect"
 	"testing"
 
 	"hybridwh/internal/expr"
 	"hybridwh/internal/format"
-	"hybridwh/internal/jen"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/plan"
 	"hybridwh/internal/types"
@@ -71,43 +69,34 @@ func openClusteredSample(t *testing.T) *Warehouse {
 	return w
 }
 
-// errEnoughSample stops worker0Estimate's bounded scan.
-var errEnoughSample = errors.New("sample complete")
-
 // worker0Estimate reproduces the pre-fix estimators' sampling loop — a
 // bounded scan of worker 0's blocks only — so the test can compare the old
 // bias against the strided estimate on identical data.
 func worker0Estimate(t *testing.T, w *Warehouse, jq *plan.JoinQuery, sampleRows int,
 	hit func(r types.Row) (bool, error)) float64 {
 	t.Helper()
-	var scanned, passed int64
 	scanPlan, err := w.jenc.PlanScan(jq.HDFSTable)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = w.jenc.ScanFilter(jen.ScanSpec{
-		Plan: scanPlan, Worker: 0, Proj: jq.HDFSScanProj,
-	}, func(r types.Row) error {
-		scanned++
-		ok, err := hit(r)
+	rows, err := w.jenc.ScanPrefix(scanPlan, 0, sampleRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 {
+		return 1
+	}
+	var passed int64
+	for _, r := range rows {
+		ok, err := hit(r.Project(jq.HDFSScanProj))
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		if ok {
 			passed++
 		}
-		if scanned >= int64(sampleRows) {
-			return errEnoughSample
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errEnoughSample) {
-		t.Fatal(err)
 	}
-	if scanned == 0 {
-		return 1
-	}
-	return float64(passed) / float64(scanned)
+	return float64(passed) / float64(len(rows))
 }
 
 // TestSamplingStridesAcrossWorkers is the regression test for the

@@ -87,9 +87,6 @@ type Config struct {
 	// BroadcastRelay switches the broadcast join to the §4.3 relay transfer
 	// scheme (each DB worker ships to one JEN worker, which relays).
 	BroadcastRelay bool
-	// RowAtATime reverts the JEN repartition pipeline to row-at-a-time
-	// execution (the pre-vectorization baseline; counters are identical).
-	RowAtATime bool
 	// SkewThreshold enables the skew-resilient shuffle: join keys holding at
 	// least this share of the surviving HDFS scan get hybrid treatment
 	// (their L rows scattered round-robin, the matching T' rows replicated).
@@ -251,7 +248,6 @@ func Open(cfg Config) (*Warehouse, error) {
 		SpillBudgetBytes: cfg.SpillBudgetBytes,
 		SpillDir:         cfg.SpillDir,
 		BroadcastRelay:   cfg.BroadcastRelay,
-		RowAtATime:       cfg.RowAtATime,
 		SkewThreshold:    cfg.SkewThreshold,
 		SkewSketchKeys:   cfg.SkewSketchKeys,
 		AdaptiveSwitch:   cfg.AdaptiveSwitch,
