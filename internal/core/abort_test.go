@@ -137,6 +137,85 @@ func TestInjectedFailuresAbortEveryAlgorithm(t *testing.T) {
 	}
 }
 
+// TestInjectedFailuresAbortMultiJoin is the failure-injection matrix for the
+// N-way executor: a JEN worker dying while it receives the dimensions or in
+// the middle of a fact shuffle, a dying DB worker, and a caller cancel early
+// or mid-query must each surface as one classified error from RunMultiCtx, within the deadline and without leaking a worker
+// goroutine. The mixed plan broadcasts one edge and re-shuffles the
+// intermediate result for two more; the adaptive plan adds the per-edge
+// keep-vs-broadcast handshake.
+func TestInjectedFailuresAbortMultiJoin(t *testing.T) {
+	transports := []struct {
+		name   string
+		newBus func() netsim.Bus
+	}{
+		{"chan", func() netsim.Bus { return netsim.NewChanBus(64) }},
+		{"tcp", func() netsim.Bus { return netsim.NewTCPBus(64) }},
+	}
+	plans := []multiGoldenCase{goldenCaseNamed(t, "star/cascade"), goldenCaseNamed(t, "star/adaptive")}
+	scenarios := []struct {
+		name        string
+		kill        string
+		killAfter   int64
+		cancelAfter int64
+		want        error
+	}{
+		{name: "fail-jen-worker-early", kill: cluster.JENName(1), killAfter: 4, want: netsim.ErrEndpointDown},
+		{name: "fail-jen-worker-mid", kill: cluster.JENName(1), killAfter: 30, want: netsim.ErrEndpointDown},
+		{name: "fail-db-worker", kill: cluster.DBName(1), killAfter: 4, want: netsim.ErrEndpointDown},
+		{name: "caller-cancel", cancelAfter: 6, want: context.Canceled},
+		{name: "caller-cancel-mid", cancelAfter: 60, want: context.Canceled},
+	}
+	for _, threads := range []int{1, 3} {
+		for _, tr := range transports {
+			for _, pl := range plans {
+				for _, sc := range scenarios {
+					t.Run(fmt.Sprintf("threads=%d/%s/%s/%s", threads, tr.name, pl.name, sc.name), func(t *testing.T) {
+						baseline := runtime.NumGoroutine()
+						ctx, cancel := context.WithTimeout(context.Background(), abortTestDeadline)
+						defer cancel()
+
+						bus := tr.newBus()
+						if sc.cancelAfter > 0 {
+							qctx, qcancel := context.WithCancel(ctx)
+							ctx = qctx
+							w := &cancelAfterBus{Bus: bus, cancel: qcancel}
+							w.remaining.Store(sc.cancelAfter)
+							bus = w
+						}
+						cfg := pl.cfg
+						cfg.WorkerThreads = threads
+						f := buildStarFixture(t, bus, 3, 4, pl.star, cfg)
+						f.env.Advise = pl.advise
+						f.env.Options.CascadeBloom = pl.cascade
+						mq := f.multiPlan(t, pl.sql)
+						if sc.kill != "" {
+							f.eng.Bus().(netsim.FaultInjector).KillEndpointAfter(sc.kill, sc.killAfter)
+						}
+
+						start := time.Now()
+						_, err := f.eng.RunMultiCtx(ctx, mq)
+						elapsed := time.Since(start)
+						if err == nil {
+							t.Fatalf("%s: query succeeded despite injected failure", sc.name)
+						}
+						if !errors.Is(err, sc.want) {
+							t.Fatalf("%s: err = %v, want errors.Is %v", sc.name, err, sc.want)
+						}
+						if elapsed >= abortTestDeadline {
+							t.Fatalf("%s: abort took %v; protocol stalled until the deadline", sc.name, elapsed)
+						}
+						if err := f.eng.Close(); err != nil {
+							t.Logf("engine close after abort: %v", err)
+						}
+						checkNoGoroutineLeak(t, baseline)
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestEngineSurvivesAbortedQuery: the engine must stay usable — a later
 // query on the same engine (different endpoints than the dead one would
 // need) still runs. We cancel rather than kill so every endpoint stays up.

@@ -469,7 +469,6 @@ type adaptJENWorker struct {
 	w, n     int
 	scanKey  int // join-key column in the scan-projected layout
 	watch    *decisionWatch
-	destOf   func(key int64) string
 	progress jen.Progress
 
 	mu sync.Mutex
@@ -484,10 +483,10 @@ type adaptJENWorker struct {
 	hotTuples int64
 }
 
-func newAdaptJENWorker(e *Engine, qs string, q *plan.JoinQuery, b *batcher, w, n, scanKey int, watch *decisionWatch, destOf func(key int64) string) *adaptJENWorker {
+func newAdaptJENWorker(e *Engine, qs string, q *plan.JoinQuery, b *batcher, w, n, scanKey int, watch *decisionWatch) *adaptJENWorker {
 	return &adaptJENWorker{
-		e: e, qs: qs, me: jenName(w), q: q, b: b, w: w, n: n,
-		scanKey: scanKey, watch: watch, destOf: destOf,
+		e: e, qs: qs, me: e.jenName(w), q: q, b: b, w: w, n: n,
+		scanKey: scanKey, watch: watch,
 		sketch: skew.NewSketch(e.cfg.SkewSketchKeys),
 	}
 }
@@ -544,7 +543,7 @@ func (a *adaptJENWorker) sendObsLocked() error {
 		survived: a.progress.Survived(),
 		sketch:   a.sketch,
 	}
-	return a.e.sendObserved(a.me, a.qs+"adapt.obs", o, jenName(a.e.jen.DesignatedWorker()))
+	return a.e.sendObserved(a.me, a.qs+"adapt.obs", o, a.e.jenName(a.e.jen.DesignatedWorker()))
 }
 
 // applyLocked installs the decision and, for keep/hybrid, flushes the
@@ -572,13 +571,13 @@ func (a *adaptJENWorker) applyLocked(d *adaptDecision) error {
 // mu-guarded state).
 func (a *adaptJENWorker) routeFnLocked() func(key int64) string {
 	if a.part == nil {
-		return a.destOf
+		return a.e.jenFor
 	}
 	return func(key int64) string {
 		if a.part.IsHot(key) {
 			a.hotTuples++
 		}
-		return jenName(a.part.Route(key))
+		return a.e.jenName(a.part.Route(key))
 	}
 }
 
@@ -656,7 +655,7 @@ func (e *Engine) probeLocalBroadcast(buffered, dbBatches []*batch.Batch, q *plan
 	defer bud.Release(charged)
 	ht.Build()
 
-	cmb := &combiner{e: e, q: q, agg: agg}
+	cmb := &combiner{e: e, post: q.PostJoin, agg: agg}
 	var probes int64
 	wire := make(types.Row, len(q.HDFSWire))
 	for _, lb := range buffered {
@@ -699,14 +698,14 @@ func (e *Engine) adaptObserveT(pr *prog, qs string, q *plan.JoinQuery, i int, tw
 		tRows:  int64(len(tw)),
 		tBytes: int64(len(tw)) * 16 * int64(len(q.DBProj)),
 	}
-	pr.fail(e.sendObserved(dbName(i), qs+"adapt.obs", o, jenName(e.jen.DesignatedWorker())))
+	pr.fail(e.sendObserved(e.dbName(i), qs+"adapt.obs", o, e.jenName(e.jen.DesignatedWorker())))
 }
 
 // adaptRouteRows blocks for the agreed decision and routes T' accordingly.
 // On the failure path it still drains the decision — under the aborted
 // program context, so it cannot block — and ships nothing.
-func (e *Engine) adaptRouteRows(ctx context.Context, pr *prog, qs string, q *plan.JoinQuery, b *batcher, i int, tw []types.Row, destOf func(key int64) string, runErr *error) {
-	d, err := e.recvDecision(ctx, dbName(i), qs+"adapt.dec")
+func (e *Engine) adaptRouteRows(ctx context.Context, pr *prog, qs string, q *plan.JoinQuery, b *batcher, i int, tw []types.Row, runErr *error) {
+	d, err := e.recvDecision(ctx, e.dbName(i), qs+"adapt.dec")
 	pr.fail(err)
 	if *runErr != nil {
 		return
@@ -715,8 +714,8 @@ func (e *Engine) adaptRouteRows(ctx context.Context, pr *prog, qs string, q *pla
 	case switchBroadcast:
 		pr.fail(b.broadcastRows(tw))
 	case switchHybrid:
-		pr.fail(b.scatterRowsHybrid(tw, q.DBWireKey, d.hot, destOf))
+		pr.fail(b.scatterRowsHybrid(tw, q.DBWireKey, d.hot, e.jenFor))
 	default:
-		pr.fail(b.scatterRows(tw, q.DBWireKey, destOf))
+		pr.fail(b.scatterRows(tw, q.DBWireKey, e.jenFor))
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"hybridwh/internal/format"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/netsim"
+	"hybridwh/internal/skew"
 	"hybridwh/internal/types"
 )
 
@@ -267,6 +268,160 @@ func diffCounters(t *testing.T, what string, want, got map[string]int64) {
 	for k, v := range got {
 		if _, ok := want[k]; !ok {
 			t.Errorf("%s %s = %d, not in golden", what, k, v)
+		}
+	}
+}
+
+// TestBatcherFlushBoundaries: destination buffers start at initialBufRows
+// rows and grow, but every send path must still ship ceil(rows/BatchRows)
+// frames per destination, each full except the last, carrying that
+// destination's rows in order. BatchRows sits above the initial capacity so
+// every full frame crosses at least one buffer growth.
+func TestBatcherFlushBoundaries(t *testing.T) {
+	const size = 150
+	if size <= initialBufRows {
+		t.Fatalf("BatchRows %d must exceed initialBufRows %d", size, initialBufRows)
+	}
+	dests := []string{"d0", "d1", "d2"}
+	destOf := func(key int64) string { return dests[key%int64(len(dests))] }
+	row := func(key, seq int) types.Row {
+		return types.Row{types.Int64(int64(key)), types.Int32(int32(seq)), types.String(fmt.Sprintf("s%d", seq))}
+	}
+	// asBatches splits rows into input batches of 7, so buffer boundaries
+	// cannot line up with input boundaries by accident.
+	asBatches := func(rows []types.Row) []*batch.Batch {
+		var out []*batch.Batch
+		for lo := 0; lo < len(rows); lo += 7 {
+			hi := min(lo+7, len(rows))
+			sb := batch.New(3, hi-lo)
+			for _, r := range rows[lo:hi] {
+				sb.AppendRow(r)
+			}
+			out = append(out, sb)
+		}
+		return out
+	}
+	// hotKey is the hot set: scatterRowsHybrid copies its rows to every
+	// destination.
+	const hotKey = 3 * 1000
+
+	paths := []struct {
+		name string
+		// send queues perDest rows for every destination and returns, per
+		// destination, the rows in the order they must arrive.
+		send func(b *batcher, perDest int) (map[string][]types.Row, error)
+	}{
+		{"sendRows", func(b *batcher, perDest int) (map[string][]types.Row, error) {
+			want := map[string][]types.Row{}
+			for di, d := range dests {
+				for i := 0; i < perDest; i++ {
+					want[d] = append(want[d], row(di, i))
+				}
+				if err := b.sendRows(d, want[d]); err != nil {
+					return nil, err
+				}
+			}
+			return want, nil
+		}},
+		{"scatterBatch", func(b *batcher, perDest int) (map[string][]types.Row, error) {
+			want := map[string][]types.Row{}
+			var rows []types.Row
+			for i := 0; i < perDest*len(dests); i++ {
+				r := row(i, i)
+				rows = append(rows, r)
+				want[destOf(int64(i))] = append(want[destOf(int64(i))], r)
+			}
+			for _, sb := range asBatches(rows) {
+				if err := b.scatterBatch(sb, nil, 0, destOf); err != nil {
+					return nil, err
+				}
+			}
+			return want, nil
+		}},
+		{"broadcastBatch", func(b *batcher, perDest int) (map[string][]types.Row, error) {
+			want := map[string][]types.Row{}
+			var rows []types.Row
+			for i := 0; i < perDest; i++ {
+				rows = append(rows, row(i, i))
+			}
+			for _, d := range dests {
+				want[d] = rows
+			}
+			for _, sb := range asBatches(rows) {
+				if err := b.broadcastBatch(sb, nil); err != nil {
+					return nil, err
+				}
+			}
+			return want, nil
+		}},
+		{"scatterRowsHybrid", func(b *batcher, perDest int) (map[string][]types.Row, error) {
+			// A third of each destination's rows are hot copies, interleaved
+			// with the cold rows routed to it.
+			hot := perDest / 3
+			cold := perDest - hot
+			want := map[string][]types.Row{}
+			var rows []types.Row
+			for i := 0; i < max(hot, cold)*len(dests); i++ {
+				if i < cold*len(dests) {
+					r := row(i, i)
+					rows = append(rows, r)
+					want[destOf(int64(i))] = append(want[destOf(int64(i))], r)
+				}
+				if i < hot {
+					r := row(hotKey, -i-1)
+					rows = append(rows, r)
+					for _, d := range dests {
+						want[d] = append(want[d], r)
+					}
+				}
+			}
+			return want, b.scatterRowsHybrid(rows, 0, skew.NewHotSet([]int64{hotKey}), destOf)
+		}},
+	}
+	for _, p := range paths {
+		for _, perDest := range []int{1, size, size + 1} {
+			t.Run(fmt.Sprintf("%s/rows=%d", p.name, perDest), func(t *testing.T) {
+				bus := &recordBus{}
+				b := testEngine(bus, size).newBatcher(context.Background(), "src", "s", dests, "", "", 0)
+				want, err := p.send(b, perDest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := b.Close(); err != nil {
+					t.Fatal(err)
+				}
+				frames := map[string][]int{}
+				got := map[string][]types.Row{}
+				for _, env := range bus.sent {
+					if env.Type != netsim.MsgRows {
+						continue
+					}
+					rows, err := types.DecodeRows(env.Payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					frames[env.From] = append(frames[env.From], len(rows))
+					got[env.From] = append(got[env.From], rows...)
+				}
+				wantFrames := (perDest + size - 1) / size
+				for _, d := range dests {
+					if len(want[d]) != perDest {
+						t.Fatalf("%s: test queued %d rows, want %d", d, len(want[d]), perDest)
+					}
+					fs := frames[d]
+					if len(fs) != wantFrames {
+						t.Fatalf("%s: %d frames %v, want %d", d, len(fs), fs, wantFrames)
+					}
+					for i, n := range fs[:len(fs)-1] {
+						if n != size {
+							t.Errorf("%s: frame %d holds %d rows, want %d", d, i, n, size)
+						}
+					}
+					if !reflect.DeepEqual(got[d], want[d]) {
+						t.Errorf("%s: rows or their order differ from what was queued", d)
+					}
+				}
+			})
 		}
 	}
 }

@@ -204,6 +204,10 @@ type Engine struct {
 	routers map[string]*netsim.Router
 	qid     atomic.Int64
 
+	// Endpoint names by worker index, built once so per-row routing never
+	// formats a name. Read-only after New.
+	dbs, jens []string
+
 	// Per-query memory budgets, keyed by the query's stream prefix ("q7/").
 	// The prefix is already threaded through every worker program, so the
 	// budget rides along without widening fifteen program signatures.
@@ -222,12 +226,13 @@ func New(db *edw.DB, jc *jen.Cluster, bus netsim.Bus, rec *metrics.Recorder, cfg
 	}
 	e := &Engine{db: db, jen: jc, bus: bus, rec: rec, cfg: cfg.withDefaults(jc), routers: map[string]*netsim.Router{}, budgets: map[string]*mem.Budget{}}
 	for i := 0; i < db.Workers(); i++ {
-		if err := e.register(cluster.DBName(i)); err != nil {
-			return nil, err
-		}
+		e.dbs = append(e.dbs, cluster.DBName(i))
 	}
 	for i := 0; i < jc.Workers(); i++ {
-		if err := e.register(cluster.JENName(i)); err != nil {
+		e.jens = append(e.jens, cluster.JENName(i))
+	}
+	for _, name := range append(e.dbNames(), e.jenNames()...) {
+		if err := e.register(name); err != nil {
 			return nil, err
 		}
 	}

@@ -40,7 +40,7 @@ func (e *Engine) runDBSide(ctx context.Context, qs string, q *plan.JoinQuery, us
 		if err != nil {
 			return nil, err
 		}
-		if err := e.sendBloom(dbName(0), qs+"bfdb", bfdb, e.jenNames()); err != nil {
+		if err := e.sendBloom(e.dbName(0), qs+"bfdb", bfdb, e.jenNames()); err != nil {
 			return nil, err
 		}
 	}
@@ -100,7 +100,7 @@ func (e *Engine) runDBSide(ctx context.Context, qs string, q *plan.JoinQuery, us
 // jenIngestProgram is a JEN worker's role in the DB-side join: scan, filter,
 // project, apply BF_DB, and stream the surviving batches to its DB worker.
 func (e *Engine) jenIngestProgram(ctx context.Context, qs string, q *plan.JoinQuery, scanPlan *jen.ScanPlan, w, dbWorker int, useBF bool) error {
-	me := jenName(w)
+	me := e.jenName(w)
 	var runErr error
 	var bfdb *bloom.Filter
 	if useBF {
@@ -108,7 +108,7 @@ func (e *Engine) jenIngestProgram(ctx context.Context, qs string, q *plan.JoinQu
 		firstErr(&runErr, err)
 		bfdb = f
 	}
-	dest := dbName(dbWorker)
+	dest := e.dbName(dbWorker)
 	b := e.newBatcher(ctx, me, qs+"ingest", []string{dest}, metrics.HDFSSentTuples, metrics.HDFSSentBytes, w)
 	scanKey := q.HDFSWire[q.HDFSWireKey]
 	if runErr == nil {
@@ -132,7 +132,7 @@ func (e *Engine) jenIngestProgram(ctx context.Context, qs string, q *plan.JoinQu
 // bfh, when set, further prunes the local T' (the dismissed DB-side zigzag
 // variant); the plain DB-side joins pass nil.
 func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery, tbl *edw.Table, ap edw.AccessPlan, strategy edw.JoinStrategy, i, m, ingestSenders int, bfh *bloom.Filter) ([]types.Row, error) {
-	me := dbName(i)
+	me := e.dbName(i)
 	var runErr error
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
@@ -189,9 +189,7 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	case edw.RepartitionBoth:
 		tb := e.newBatcher(ctx, me, qs+"treshuf", e.dbNames(), metrics.DBReshuffleTuples, metrics.DBReshuffleBytes, i)
 		if runErr == nil {
-			pr.fail(tb.scatterRows(tw, q.DBWireKey, func(key int64) string {
-				return dbName(cluster.PartitionFor(key, m))
-			}))
+			pr.fail(tb.scatterRows(tw, q.DBWireKey, e.dbFor))
 		}
 		pr.fail(tb.CloseWith(runErr))
 	case edw.BroadcastDB:
@@ -208,9 +206,7 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	case edw.RepartitionBoth:
 		lb := e.newBatcher(ctx, me, qs+"lreshuf", e.dbNames(), metrics.DBIngestTuples, metrics.DBIngestBytes, i)
 		err := e.recvBatches(ctx, me, qs+"ingest", ingestSenders, func(b *batch.Batch) error {
-			return lb.scatterBatch(b, nil, q.HDFSWireKey, func(key int64) string {
-				return dbName(cluster.PartitionFor(key, m))
-			})
+			return lb.scatterBatch(b, nil, q.HDFSWireKey, e.dbFor)
 		})
 		pr.fail(err)
 		pr.fail(lb.CloseWith(runErr))
@@ -248,7 +244,7 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	agg.SetBudget(bud)
 	defer func() { bud.Release(agg.MemBytes()) }()
 	if runErr == nil {
-		cmb := &combiner{e: e, q: q, agg: agg}
+		cmb := &combiner{e: e, post: q.PostJoin, agg: agg}
 		var scratch types.Row
 		for _, pb := range lbatches {
 			keys := pb.Col(q.HDFSWireKey)
@@ -275,9 +271,9 @@ func (e *Engine) dbJoinProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	}
 
 	// Partial aggregates converge on db/0, which produces the result.
-	pb := e.newBatcher(ctx, me, qs+"partial", []string{dbName(0)}, "", "", i)
+	pb := e.newBatcher(ctx, me, qs+"partial", []string{e.dbName(0)}, "", "", i)
 	if runErr == nil {
-		pr.fail(pb.sendRows(dbName(0), agg.PartialRows()))
+		pr.fail(pb.sendRows(e.dbName(0), agg.PartialRows()))
 	}
 	pr.fail(pb.CloseWith(runErr))
 

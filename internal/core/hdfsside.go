@@ -7,7 +7,6 @@ import (
 
 	"hybridwh/internal/batch"
 	"hybridwh/internal/bloom"
-	"hybridwh/internal/cluster"
 	"hybridwh/internal/edw"
 	"hybridwh/internal/expr"
 	"hybridwh/internal/jen"
@@ -18,9 +17,6 @@ import (
 	"hybridwh/internal/skew"
 	"hybridwh/internal/types"
 )
-
-func dbName(i int) string  { return cluster.DBName(i) }
-func jenName(i int) string { return cluster.JENName(i) }
 
 // firstErr keeps the first non-nil error.
 func firstErr(dst *error, err error) {
@@ -55,7 +51,7 @@ func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, 
 		if err != nil {
 			return nil, err
 		}
-		if err := e.sendBloom(dbName(0), qs+"bfdb", bfdb, e.jenNames()); err != nil {
+		if err := e.sendBloom(e.dbName(0), qs+"bfdb", bfdb, e.jenNames()); err != nil {
 			return nil, err
 		}
 	}
@@ -73,14 +69,14 @@ func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, 
 	// The designated JEN worker returns the final aggregate to one DB node
 	// (step 9 of Figure 4).
 	g.Go(func() error {
-		rows, err := e.collectRows(ctx, dbName(0), qs+"final", 1)
+		rows, err := e.collectRows(ctx, e.dbName(0), qs+"final", 1)
 		resultRows = rows
 		return err
 	})
 
 	for i := 0; i < m; i++ {
 		i := i
-		g.Go(func() error { return e.dbShipProgram(ctx, qs, q, tbl, accessPlan, i, n, zig) })
+		g.Go(func() error { return e.dbShipProgram(ctx, qs, q, tbl, accessPlan, i, zig) })
 	}
 	for w := 0; w < n; w++ {
 		w := w
@@ -104,13 +100,12 @@ func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, 
 // filter and project T locally, optionally wait for BF_H and apply it
 // (zigzag steps 4–5), then route T' rows directly to the JEN workers that
 // will join them (step 6), using the agreed hash function.
-func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery, tbl *edw.Table, ap edw.AccessPlan, i, n int, zig bool) error {
+func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery, tbl *edw.Table, ap edw.AccessPlan, i int, zig bool) error {
 	var runErr error
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
 	ctx = pr.ctx
-	destOf := func(key int64) string { return jenName(cluster.PartitionFor(key, n)) }
-	b := e.newBatcher(ctx, dbName(i), qs+"dbrows", e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
+	b := e.newBatcher(ctx, e.dbName(i), qs+"dbrows", e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
 
 	if !zig {
 		if e.adaptiveOn() {
@@ -120,23 +115,23 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 			tw, err := e.db.FilterProject(tbl, i, ap, q.DBProj)
 			pr.fail(err)
 			e.adaptObserveT(pr, qs, q, i, tw)
-			e.adaptRouteRows(ctx, pr, qs, q, b, i, tw, destOf, &runErr)
+			e.adaptRouteRows(ctx, pr, qs, q, b, i, tw, &runErr)
 		} else if e.skewOn() {
 			// Hybrid routing needs the agreed hot set, which exists only
 			// after the whole HDFS scan: materialize T', wait for the set,
 			// then ship with hot rows replicated to every JEN worker.
 			tw, err := e.db.FilterProject(tbl, i, ap, q.DBProj)
 			pr.fail(err)
-			hot, herr := e.recvHotSet(ctx, dbName(i), qs+"hotset")
+			hot, herr := e.recvHotSet(ctx, e.dbName(i), qs+"hotset")
 			pr.fail(herr)
 			if runErr == nil {
-				pr.fail(b.scatterRowsHybrid(tw, q.DBWireKey, hot, destOf))
+				pr.fail(b.scatterRowsHybrid(tw, q.DBWireKey, hot, e.jenFor))
 			}
 		} else {
 			// No Bloom filter to wait for: T' streams out batch-at-a-time as
 			// the partition scan produces it.
 			pr.fail(e.db.FilterProjectBatches(tbl, i, ap, q.DBProj, e.cfg.BatchRows, e.cfg.WorkerThreads, func(fb *batch.Batch) error {
-				return b.scatterBatch(fb, nil, q.DBWireKey, destOf)
+				return b.scatterBatch(fb, nil, q.DBWireKey, e.jenFor)
 			}))
 		}
 		pr.fail(b.CloseWith(runErr))
@@ -161,14 +156,14 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 		if adaptOn {
 			e.adaptObserveT(pr, qs, q, i, nil)
 		}
-		if _, berr := e.recvBloom(ctx, dbName(i), qs+"bfh", 1); berr != nil {
+		if _, berr := e.recvBloom(ctx, e.dbName(i), qs+"bfh", 1); berr != nil {
 			pr.fail(berr)
 		}
 		if adaptOn {
-			e.adaptRouteRows(ctx, pr, qs, q, b, i, nil, destOf, &runErr)
+			e.adaptRouteRows(ctx, pr, qs, q, b, i, nil, &runErr)
 		}
 		if skewOn {
-			if _, herr := e.recvHotSet(ctx, dbName(i), qs+"hotset"); herr != nil {
+			if _, herr := e.recvHotSet(ctx, e.dbName(i), qs+"hotset"); herr != nil {
 				pr.fail(herr)
 			}
 		}
@@ -180,7 +175,7 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 		// committed plan would ship if BF_H turned out useless.
 		e.adaptObserveT(pr, qs, q, i, tw)
 	}
-	bfh, berr := e.recvBloom(ctx, dbName(i), qs+"bfh", 1)
+	bfh, berr := e.recvBloom(ctx, e.dbName(i), qs+"bfh", 1)
 	if berr != nil {
 		pr.fail(berr)
 	} else {
@@ -189,15 +184,15 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 		tw, _ = e.db.ApplyBloom(tw, q.DBWireKey, bfh)
 	}
 	if adaptOn {
-		e.adaptRouteRows(ctx, pr, qs, q, b, i, tw, destOf, &runErr)
+		e.adaptRouteRows(ctx, pr, qs, q, b, i, tw, &runErr)
 	} else if skewOn {
-		hot, herr := e.recvHotSet(ctx, dbName(i), qs+"hotset")
+		hot, herr := e.recvHotSet(ctx, e.dbName(i), qs+"hotset")
 		pr.fail(herr)
 		if runErr == nil {
-			pr.fail(b.scatterRowsHybrid(tw, q.DBWireKey, hot, destOf))
+			pr.fail(b.scatterRowsHybrid(tw, q.DBWireKey, hot, e.jenFor))
 		}
 	} else if runErr == nil {
-		pr.fail(b.scatterRows(tw, q.DBWireKey, destOf))
+		pr.fail(b.scatterRows(tw, q.DBWireKey, e.jenFor))
 	}
 	pr.fail(b.CloseWith(runErr))
 	return runErr
@@ -209,7 +204,7 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 // buffering database rows in the background, then probe, partially
 // aggregate, and participate in the global aggregation.
 func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.JoinQuery, scanPlan *jen.ScanPlan, w, n, m int, useBF, zig bool, st *adaptState) error {
-	me := jenName(w)
+	me := e.jenName(w)
 	var runErr error
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
@@ -265,7 +260,6 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 	}
 	b := e.newBatcher(ctx, me, qs+"shuffle", e.jenNames(), metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
 	scanKey := q.HDFSWire[q.HDFSWireKey]
-	destOf := func(key int64) string { return jenName(cluster.PartitionFor(key, n)) }
 	spec := jen.ScanSpec{
 		Plan: scanPlan, Worker: w,
 		Proj: q.HDFSScanProj, Pred: q.HDFSPred, Pruner: q.Pruner(),
@@ -286,7 +280,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		pr.fail(werr)
 		if werr == nil {
 			defer watch.close()
-			aw = newAdaptJENWorker(e, qs, q, b, w, n, scanKey, watch, destOf)
+			aw = newAdaptJENWorker(e, qs, q, b, w, n, scanKey, watch)
 			spec.Progress = &aw.progress
 		}
 	}
@@ -319,7 +313,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 			})
 		} else {
 			err = e.jen.ScanFilterBatches(spec, func(sb *batch.Batch) error {
-				return b.scatterBatch(sb, q.HDFSWire, scanKey, destOf)
+				return b.scatterBatch(sb, q.HDFSWire, scanKey, e.jenFor)
 			})
 		}
 		pr.fail(err)
@@ -338,7 +332,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 				if p.IsHot(key) {
 					hotTuples++
 				}
-				return jenName(p.Route(key))
+				return e.jenName(p.Route(key))
 			}
 			for _, wb := range buffered {
 				if err := b.scatterBatch(wb, nil, q.HDFSWireKey, route); err != nil {
@@ -365,7 +359,7 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 	// context.
 	desig := e.jen.DesignatedWorker()
 	if zig {
-		pr.fail(e.sendBloom(me, qs+"bfhlocal", bfh, []string{jenName(desig)}))
+		pr.fail(e.sendBloom(me, qs+"bfhlocal", bfh, []string{e.jenName(desig)}))
 		if w == desig {
 			global, err := e.recvBloom(ctx, me, qs+"bfhlocal", n)
 			pr.fail(err)
@@ -427,13 +421,14 @@ func (e *Engine) newJoinTable(qs string, keyIdx int) (relop.JoinTable, error) {
 	return relop.NewMemJoinTable(keyIdx), nil
 }
 
-// combiner accumulates join matches (build row ++ probe row) into a
+// combiner accumulates join matches (left row ++ right row: build ++ probe
+// for the two-table joins, fact ++ dimension for the N-way executor) into a
 // combined-layout batch; when the batch fills, the post-join predicate runs
 // as a batch filter and the survivors fold into the partial aggregate
 // batch-at-a-time. output counts survivors.
 type combiner struct {
 	e      *Engine
-	q      *plan.JoinQuery
+	post   expr.Expr // post-join predicate over the combined layout; nil keeps all
 	agg    *relop.HashAgg
 	out    *batch.Batch
 	output int64
@@ -454,7 +449,7 @@ func (c *combiner) flush() error {
 	if c.out == nil || c.out.Size() == 0 {
 		return nil
 	}
-	if err := expr.FilterBatch(c.q.PostJoin, c.out); err != nil {
+	if err := expr.FilterBatch(c.post, c.out); err != nil {
 		return err
 	}
 	c.output += int64(c.out.Len())
@@ -476,7 +471,7 @@ func (e *Engine) probeAndAggregateBatches(ht relop.JoinTable, probes []*batch.Ba
 	if mem, isMem := ht.(*relop.MemJoinTable); isMem && threads > 1 && len(probes) > 1 {
 		return e.probeAndAggregateParallel(mem, probes, q, agg, threads)
 	}
-	cmb := &combiner{e: e, q: q, agg: agg}
+	cmb := &combiner{e: e, post: q.PostJoin, agg: agg}
 	for _, pb := range probes {
 		if err := ht.ProbeBatch(pb, q.DBWireKey, cmb.add); err != nil {
 			return err
@@ -513,7 +508,7 @@ func (e *Engine) probeAndAggregateParallel(mem *relop.MemJoinTable, probes []*ba
 	var g par.Group
 	for t := 0; t < threads; t++ {
 		t := t
-		cmbs[t] = &combiner{e: e, q: q, agg: relop.NewHashAgg(q.GroupBy, q.Aggs)}
+		cmbs[t] = &combiner{e: e, post: q.PostJoin, agg: relop.NewHashAgg(q.GroupBy, q.Aggs)}
 		g.Go(func() error {
 			var rows int64
 			for {
@@ -567,22 +562,22 @@ func (e *Engine) finishAggregation(ctx context.Context, qs string, groupBy []exp
 	ctx = pr.ctx
 	pr.fail(runErr)
 	desig := e.jen.DesignatedWorker()
-	pb := e.newBatcher(ctx, jenName(w), qs+"partial", []string{jenName(desig)}, "", "", w)
+	pb := e.newBatcher(ctx, e.jenName(w), qs+"partial", []string{e.jenName(desig)}, "", "", w)
 	if runErr == nil {
-		pr.fail(pb.sendRows(jenName(desig), agg.PartialRows()))
+		pr.fail(pb.sendRows(e.jenName(desig), agg.PartialRows()))
 	}
 	pr.fail(pb.CloseWith(runErr))
 
 	if w == desig {
 		final := relop.NewHashAgg(groupBy, aggs)
-		pr.fail(e.recvRows(ctx, jenName(w), qs+"partial", n, func(r types.Row) error {
+		pr.fail(e.recvRows(ctx, e.jenName(w), qs+"partial", n, func(r types.Row) error {
 			return final.MergePartial(r)
 		}))
 		rows := final.FinalRows()
 		e.rec.Add(metrics.AggGroups, int64(len(rows)))
-		fb := e.newBatcher(ctx, jenName(w), qs+"final", []string{dbName(0)}, "", "", w)
+		fb := e.newBatcher(ctx, e.jenName(w), qs+"final", []string{e.dbName(0)}, "", "", w)
 		if runErr == nil {
-			pr.fail(fb.sendRows(dbName(0), rows))
+			pr.fail(fb.sendRows(e.dbName(0), rows))
 		}
 		pr.fail(fb.CloseWith(runErr))
 	}
@@ -628,7 +623,7 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 	g, ctx := par.WithContext(ctx)
 	var resultRows []types.Row
 	g.Go(func() error {
-		rows, err := e.collectRows(ctx, dbName(0), qs+"final", 1)
+		rows, err := e.collectRows(ctx, e.dbName(0), qs+"final", 1)
 		resultRows = rows
 		return err
 	})
@@ -642,9 +637,9 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 			// copy by the bus and the byte counter).
 			dests := e.jenNames()
 			if relay {
-				dests = []string{jenName(i % n)}
+				dests = []string{e.jenName(i % n)}
 			}
-			b := e.newBatcher(ctx, dbName(i), qs+"dbrows", dests, "", metrics.DBSentBytes, i)
+			b := e.newBatcher(ctx, e.dbName(i), qs+"dbrows", dests, "", metrics.DBSentBytes, i)
 			var sent int64
 			err := e.db.FilterProjectBatches(tbl, i, accessPlan, q.DBProj, e.cfg.BatchRows, e.cfg.WorkerThreads, func(fb *batch.Batch) error {
 				sent += int64(fb.Len())
@@ -659,7 +654,7 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 	for w := 0; w < n; w++ {
 		w := w
 		g.Go(func() error {
-			me := jenName(w)
+			me := e.jenName(w)
 			var runErr error
 			bud := e.budget(qs)
 			// Build the hash table from the broadcast T' first: local joins
@@ -684,7 +679,7 @@ func (e *Engine) runBroadcast(ctx context.Context, qs string, q *plan.JoinQuery)
 			agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
 			agg.SetBudget(bud)
 			defer func() { bud.Release(agg.MemBytes()) }()
-			cmb := &combiner{e: e, q: q, agg: agg}
+			cmb := &combiner{e: e, post: q.PostJoin, agg: agg}
 			var cmbMu sync.Mutex
 			scanKey := q.HDFSWire[q.HDFSWireKey]
 			var probes atomic.Int64
@@ -748,7 +743,7 @@ func (e *Engine) broadcastRelayRecv(ctx context.Context, qs, me string, w, n, di
 	others := make([]string, 0, n-1)
 	for j := 0; j < n; j++ {
 		if j != w {
-			others = append(others, jenName(j))
+			others = append(others, e.jenName(j))
 		}
 	}
 	// The relay drainer and the direct-stream receiver run concurrently and

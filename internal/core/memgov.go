@@ -40,8 +40,8 @@ func chargeBatches(bud *mem.Budget, bs []*batch.Batch) int64 {
 	return n
 }
 
-// chargeRows is chargeBatches for materialized rows: RunMulti's buffered
-// fact and dimension rows between its join steps.
+// chargeRows is chargeBatches for materialized rows: RunMulti's
+// materialized dimension components.
 func chargeRows(bud *mem.Budget, rows []types.Row) int64 {
 	if bud == nil || len(rows) == 0 {
 		return 0

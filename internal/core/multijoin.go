@@ -8,7 +8,6 @@ import (
 
 	"hybridwh/internal/batch"
 	"hybridwh/internal/bloom"
-	"hybridwh/internal/cluster"
 	"hybridwh/internal/costmodel"
 	"hybridwh/internal/jen"
 	"hybridwh/internal/metrics"
@@ -52,8 +51,9 @@ type MultiResult struct {
 
 // RunMulti executes an analyzed multi-join query. The fact table streams
 // from HDFS; every dimension edge joins with its independently chosen
-// algorithm. Row-at-a-time mode does not apply to the N-way executor — the
-// pipeline always runs batch-at-a-time.
+// algorithm. The fact side runs batch-at-a-time from the scan through every
+// edge's shuffle and probe to the aggregate; only the dimensions, small by
+// comparison, are materialized and shipped as rows.
 func (e *Engine) RunMulti(q *plan.MultiQuery) (*MultiResult, error) {
 	return e.RunMultiCtx(context.Background(), q)
 }
@@ -166,7 +166,7 @@ func (e *Engine) runMulti(ctx context.Context, qs string, q *plan.MultiQuery) (*
 				}
 			}
 			e.rec.Add(metrics.BloomBuildKeys, int64(bf.EstimateCardinality()))
-			if err := e.sendBloom(dbName(0), mstream(qs, "bf", ei), bf, e.jenNames()); err != nil {
+			if err := e.sendBloom(e.dbName(0), mstream(qs, "bf", ei), bf, e.jenNames()); err != nil {
 				return nil, err
 			}
 		}
@@ -187,13 +187,13 @@ func (e *Engine) runMulti(ctx context.Context, qs string, q *plan.MultiQuery) (*
 	g, ctx := par.WithContext(ctx)
 	var resultRows []types.Row
 	g.Go(func() error {
-		rows, err := e.collectRows(ctx, dbName(0), qs+"final", 1)
+		rows, err := e.collectRows(ctx, e.dbName(0), qs+"final", 1)
 		resultRows = rows
 		return err
 	})
 	for i := 0; i < m; i++ {
 		i := i
-		g.Go(func() error { return e.multiDBProgram(ctx, qs, q, dims, i, n, gated) })
+		g.Go(func() error { return e.multiDBProgram(ctx, qs, q, dims, i, gated) })
 	}
 	for w := 0; w < n; w++ {
 		w := w
@@ -295,18 +295,17 @@ func (e *Engine) materializeDim(ed *plan.EdgeExec) (*dimMat, error) {
 // materialized dimension partition to the JEN workers, edge by edge —
 // broadcast to all, or scattered by the agreed hash function. Gated edges
 // wait for the designated JEN worker's keep-vs-broadcast decision first.
-func (e *Engine) multiDBProgram(ctx context.Context, qs string, q *plan.MultiQuery, dims []*dimMat, i, n int, gated []bool) error {
+func (e *Engine) multiDBProgram(ctx context.Context, qs string, q *plan.MultiQuery, dims []*dimMat, i int, gated []bool) error {
 	var runErr error
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
 	ctx = pr.ctx
-	destOf := func(key int64) string { return jenName(cluster.PartitionFor(key, n)) }
 	for ei := range q.Edges {
 		ed := &q.Edges[ei]
-		b := e.newBatcher(ctx, dbName(i), mstream(qs, "dim", ei), e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
+		b := e.newBatcher(ctx, e.dbName(i), mstream(qs, "dim", ei), e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
 		alg := ed.Algorithm
 		if gated[ei] {
-			d, err := e.recvCtl(ctx, dbName(i), mstream(qs, "dec", ei))
+			d, err := e.recvCtl(ctx, e.dbName(i), mstream(qs, "dec", ei))
 			pr.fail(err)
 			if err == nil && d == 1 {
 				alg = plan.EdgeBroadcast
@@ -317,7 +316,7 @@ func (e *Engine) multiDBProgram(ctx context.Context, qs string, q *plan.MultiQue
 			if alg == plan.EdgeBroadcast {
 				pr.fail(b.broadcastRows(rows))
 			} else {
-				pr.fail(b.scatterRows(rows, ed.DimKeyWire, destOf))
+				pr.fail(b.scatterRows(rows, ed.DimKeyWire, e.jenFor))
 			}
 		}
 		// Closed even when failing so every JEN receiver learns the fate of
@@ -332,9 +331,13 @@ func (e *Engine) multiDBProgram(ctx context.Context, qs string, q *plan.MultiQue
 // applied, then run the join edges as pipeline stages — repartition stages
 // reshuffle the intermediate result by the next edge's key, broadcast
 // stages probe the full dimension locally — and finish with the shared
-// aggregation fan-in.
+// aggregation fan-in. The intermediate result stays in columnar batches
+// from the scan to the aggregate: each edge probes its dimension once per
+// batch and writes fact ++ dim matches into combined-layout batches, and
+// the last edge streams its matches straight through the post-join filter
+// into the partial aggregate.
 func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQuery, scanPlan *jen.ScanPlan, w, n, m int, gated []bool, st *multiAdaptState) error {
-	me := jenName(w)
+	me := e.jenName(w)
 	var runErr error
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
@@ -342,7 +345,6 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 	bud := e.budget(qs)
 	var charged int64
 	defer func() { bud.Release(charged) }()
-	destOf := func(key int64) string { return jenName(cluster.PartitionFor(key, n)) }
 	desig := e.jen.DesignatedWorker()
 
 	// Blocking: the cascaded dimension Bloom filters, in edge order (the
@@ -370,41 +372,57 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 		Mem:     bud,
 	}
 
+	// cur is the intermediate result in the combined layout so far; curRows
+	// counts its live rows.
+	var cur []*batch.Batch
+	var curRows int64
+	// recvShuffled replaces cur with this worker's share of a shuffle.
+	recvShuffled := func(stream string) {
+		bs, rows, err := e.collectBatches(ctx, me, stream, n)
+		pr.fail(err)
+		e.rec.AddAt(metrics.JENRecvTuples, w, rows)
+		cur, curRows = bs, rows
+		charged += chargeBatches(bud, cur)
+	}
+
 	// Stage 0: the fact scan feeds the first edge directly — scattered by
 	// its key for a repartition edge, kept local for a broadcast edge.
-	var cur []types.Row
 	first := &q.Edges[0]
 	if first.Algorithm == plan.EdgeRepartition {
-		b := e.newBatcher(ctx, me, mstream(qs, "shuffle", 0), e.jenNames(), metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
+		stream := mstream(qs, "shuffle", 0)
+		b := e.newBatcher(ctx, me, stream, e.jenNames(), metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
 		scanKey := q.FactWire[first.FactKeyCol]
 		if runErr == nil {
 			pr.fail(e.jen.ScanFilterBatches(spec, func(sb *batch.Batch) error {
-				return b.scatterBatch(sb, q.FactWire, scanKey, destOf)
+				return b.scatterBatch(sb, q.FactWire, scanKey, e.jenFor)
 			}))
 		}
 		pr.fail(b.CloseWith(runErr))
-		rows, err := e.collectRows(ctx, me, mstream(qs, "shuffle", 0), n)
-		pr.fail(err)
-		e.rec.AddAt(metrics.JENRecvTuples, w, int64(len(rows)))
-		cur = rows
+		recvShuffled(stream)
 	} else {
 		var mu sync.Mutex // morsel workers yield concurrently
 		if runErr == nil {
 			pr.fail(e.jen.ScanFilterBatches(spec, func(sb *batch.Batch) error {
+				// sb is on loan: copy its live rows, projected to the wire.
 				wb := batch.New(len(q.FactWire), sb.Len())
-				perr := sb.Each(func(i int) error {
+				_ = sb.Each(func(i int) error {
 					wb.AppendFrom(sb, i, q.FactWire)
 					return nil
 				})
-				rows := wb.Rows()
 				mu.Lock()
-				cur = append(cur, rows...)
+				cur = append(cur, wb)
+				curRows += int64(wb.Len())
 				mu.Unlock()
-				return perr
+				return nil
 			}))
 		}
+		charged += chargeBatches(bud, cur)
 	}
-	charged += chargeRows(bud, cur)
+
+	agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
+	agg.SetBudget(bud)
+	defer func() { bud.Release(agg.MemBytes()) }()
+	cmb := &combiner{e: e, post: q.PostJoin, agg: agg}
 
 	// Join stages. Width tracks the combined layout for the adaptive
 	// re-cost's bytes-per-row estimate.
@@ -418,7 +436,7 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 			// observed intermediate size — unconditionally, even when
 			// failing, so the designated fan-in always completes — and the
 			// decision reaches the JEN and DB workers alike.
-			pr.fail(e.sendCtl(me, mstream(qs, "obs", ei), int64(len(cur)), []string{jenName(desig)}))
+			pr.fail(e.sendCtl(me, mstream(qs, "obs", ei), curRows, []string{e.jenName(desig)}))
 			if w == desig {
 				total, err := e.recvCtlSum(ctx, me, mstream(qs, "obs", ei), n)
 				pr.fail(err)
@@ -442,16 +460,16 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 		// Reshuffle the intermediate result by this edge's key (the first
 		// edge was already routed by the scan).
 		if ei > 0 && alg == plan.EdgeRepartition {
-			b := e.newBatcher(ctx, me, mstream(qs, "shuffle", ei), e.jenNames(), metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
-			if runErr == nil {
-				pr.fail(b.scatterRows(cur, ed.FactKeyCol, destOf))
+			stream := mstream(qs, "shuffle", ei)
+			b := e.newBatcher(ctx, me, stream, e.jenNames(), metrics.JENShuffleTuples, metrics.JENShuffleBytes, w)
+			for _, cb := range cur {
+				if runErr != nil {
+					break
+				}
+				pr.fail(b.scatterBatch(cb, nil, ed.FactKeyCol, e.jenFor))
 			}
 			pr.fail(b.CloseWith(runErr))
-			rows, err := e.collectRows(ctx, me, mstream(qs, "shuffle", ei), n)
-			pr.fail(err)
-			e.rec.AddAt(metrics.JENRecvTuples, w, int64(len(rows)))
-			cur = rows
-			charged += chargeRows(bud, cur)
+			recvShuffled(stream)
 		}
 
 		// Receive this edge's dimension — the hash-local share under
@@ -469,49 +487,56 @@ func (e *Engine) multiJENProgram(ctx context.Context, qs string, q *plan.MultiQu
 			ht.Build()
 			charged += chargeJoinBuild(bud, int64(len(dimRows)), ed.DimWireSchema.Len())
 			e.rec.AddAt(metrics.JoinBuildTuples, w, int64(len(dimRows)))
-			e.rec.AddAt(metrics.JoinProbeTuples, w, int64(len(cur)))
+			e.rec.AddAt(metrics.JoinProbeTuples, w, curRows)
 			if runErr == nil {
-				next := make([]types.Row, 0, len(cur))
-				for _, r := range cur {
-					for _, dr := range ht.Probe(r[ed.FactKeyCol].Int()) {
-						next = append(next, r.Concat(dr))
+				// The last edge's matches go straight to the aggregate; an
+				// earlier edge's become the next intermediate result.
+				out := &joinOut{size: e.cfg.BatchRows}
+				emit := out.add
+				if ei == len(q.Edges)-1 {
+					emit = cmb.add
+				}
+				probe := &relop.MemJoinTable{H: ht}
+				for _, cb := range cur {
+					err := probe.ProbeBatch(cb, ed.FactKeyCol, func(dr, fr types.Row) error { return emit(fr, dr) })
+					if err != nil {
+						pr.fail(err)
+						break
 					}
 				}
-				cur = next
-				charged += chargeRows(bud, cur)
+				cur, curRows = out.batches, out.rows
+				charged += chargeBatches(bud, cur)
 			}
 		}
 		width += ed.DimWireSchema.Len()
 	}
 
-	// Post-join filter and partial aggregation, then the shared fan-in.
-	agg := relop.NewHashAgg(q.GroupBy, q.Aggs)
-	agg.SetBudget(bud)
-	defer func() { bud.Release(agg.MemBytes()) }()
+	// Post-join filter and partial aggregation of the last batch, then the
+	// shared fan-in.
 	if runErr == nil {
-		var output int64
-		for _, r := range cur {
-			ok := true
-			if q.PostJoin != nil {
-				v, err := q.PostJoin.Eval(r)
-				if err != nil {
-					pr.fail(err)
-					break
-				}
-				ok = v.Truth()
-			}
-			if !ok {
-				continue
-			}
-			output++
-			if err := agg.Add(r); err != nil {
-				pr.fail(err)
-				break
-			}
-		}
-		e.rec.Add(metrics.JoinOutputTuples, output)
+		pr.fail(cmb.flush())
+		e.rec.Add(metrics.JoinOutputTuples, cmb.output)
 	}
 	return e.finishAggregation(ctx, qs, q.GroupBy, q.Aggs, agg, w, n, runErr)
+}
+
+// joinOut accumulates one intermediate edge's matches, fact ++ dim, into
+// combined-layout batches of cfg.BatchRows rows.
+type joinOut struct {
+	size    int
+	batches []*batch.Batch
+	rows    int64
+}
+
+func (o *joinOut) add(fact, dim types.Row) error {
+	k := len(o.batches)
+	if k == 0 || o.batches[k-1].Full() {
+		o.batches = append(o.batches, batch.New(len(fact)+len(dim), o.size))
+		k++
+	}
+	o.batches[k-1].AppendConcat(fact, dim)
+	o.rows++
+	return nil
 }
 
 // decideEdgeSwitch re-costs a gated repartition edge against a broadcast

@@ -335,7 +335,9 @@ func BenchmarkStarJoin(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				shuffled += res.Metrics[metrics.JENShuffleBytes]
+				// The fixture's recorder accumulates across iterations, so
+				// the last snapshot holds the total over all of them.
+				shuffled = res.Metrics[metrics.JENShuffleBytes]
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(shuffled)/float64(b.N)/(1<<20), "shuffleMB")

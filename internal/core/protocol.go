@@ -7,6 +7,7 @@ import (
 
 	"hybridwh/internal/batch"
 	"hybridwh/internal/bloom"
+	"hybridwh/internal/cluster"
 	"hybridwh/internal/compress"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/netsim"
@@ -28,9 +29,11 @@ import (
 // them as MsgRows messages, recording tuple and byte counters against the
 // sending worker. The wire encoding (batch.EncodeBatch) is byte-identical
 // to types.EncodeRows over the same rows, and a buffer flushes exactly when
-// it reaches cfg.BatchRows rows, so message boundaries — and therefore the
+// it holds cfg.BatchRows rows, so message boundaries — and therefore the
 // byte counters — depend only on each destination's row sequence, not on
-// how the rows were grouped into input batches.
+// how the rows were grouped into input batches. Buffers start at
+// initialBufRows rows and grow by append, so a destination that receives a
+// handful of rows never pays for a full batch.
 //
 // A batcher is safe for concurrent use: morsel workers (Config.WorkerThreads
 // > 1) feed one shared batcher per stream under its mutex. Sharing — rather
@@ -69,26 +72,35 @@ func (e *Engine) newBatcher(ctx context.Context, from, stream string, dests []st
 	}
 }
 
+// initialBufRows is a destination buffer's starting row capacity.
+const initialBufRows = 64
+
 // bufLocked returns dest's buffer, creating it with the stream's row width
 // on first use (all rows of one stream share a layout). Callers hold mu.
 func (b *batcher) bufLocked(dest string, ncols int) *batch.Batch {
 	bb := b.bufs[dest]
 	if bb == nil {
-		bb = batch.New(ncols, b.size)
+		bb = batch.New(ncols, min(b.size, initialBufRows))
 		b.bufs[dest] = bb
 	}
 	return bb
 }
 
-// sendLocked queues one row for dest, flushing a full batch. Callers hold mu.
-func (b *batcher) sendLocked(dest string, row types.Row) error {
-	bb := b.bufLocked(dest, len(row))
-	bb.AppendRow(row)
+// queuedLocked counts one row just appended to dest's buffer bb and ships
+// the buffer once it holds cfg.BatchRows rows. Callers hold mu.
+func (b *batcher) queuedLocked(dest string, bb *batch.Batch) error {
 	b.tuples++
-	if bb.Full() {
+	if bb.Size() >= b.size {
 		return b.flushLocked(dest)
 	}
 	return nil
+}
+
+// sendLocked queues one row for dest. Callers hold mu.
+func (b *batcher) sendLocked(dest string, row types.Row) error {
+	bb := b.bufLocked(dest, len(row))
+	bb.AppendRow(row)
+	return b.queuedLocked(dest, bb)
 }
 
 // sendRows queues a materialized row slice for one destination.
@@ -163,11 +175,7 @@ func (b *batcher) sendBatchLocked(dest string, src *batch.Batch, proj []int) err
 	bb := b.bufLocked(dest, ncols)
 	return src.Each(func(i int) error {
 		bb.AppendFrom(src, i, proj)
-		b.tuples++
-		if bb.Full() {
-			return b.flushLocked(dest)
-		}
-		return nil
+		return b.queuedLocked(dest, bb)
 	})
 }
 
@@ -195,11 +203,7 @@ func (b *batcher) scatterBatch(src *batch.Batch, proj []int, keyIdx int, destOf 
 		dest := destOf(keys[i].Int())
 		bb := b.bufLocked(dest, ncols)
 		bb.AppendFrom(src, i, proj)
-		b.tuples++
-		if bb.Full() {
-			return b.flushLocked(dest)
-		}
-		return nil
+		return b.queuedLocked(dest, bb)
 	})
 }
 
@@ -300,6 +304,12 @@ func (b *batcher) CloseWith(runErr error) error {
 // on the abort teardown (router Unroute release + context cancellation) to
 // unblock the remaining senders.
 func (e *Engine) recvBatches(ctx context.Context, at, stream string, senders int, fn func(b *batch.Batch) error) error {
+	return e.recvFrames(ctx, at, stream, senders, false, fn)
+}
+
+// recvFrames is recvBatches; with own set, every frame decodes into a fresh
+// batch that fn may keep.
+func (e *Engine) recvFrames(ctx context.Context, at, stream string, senders int, own bool, fn func(b *batch.Batch) error) error {
 	if senders == 0 {
 		return nil
 	}
@@ -334,6 +344,9 @@ func (e *Engine) recvBatches(ctx context.Context, at, stream string, senders int
 				return
 			}
 			payload = raw
+		}
+		if own {
+			decoded = batch.New(0, 0)
 		}
 		if err := batch.DecodeBatch(payload, decoded); err != nil {
 			consumeErr = fmt.Errorf("core: %s decoding %s from %s: %w", at, stream, env.From, err)
@@ -393,13 +406,13 @@ func (e *Engine) collectRows(ctx context.Context, at, stream string, senders int
 	return out, err
 }
 
-// collectBatches is recvBatches into a slice of cloned batches, returning
-// the total live row count alongside.
+// collectBatches is recvBatches into a slice of batches, one per received
+// frame, returning the total live row count alongside.
 func (e *Engine) collectBatches(ctx context.Context, at, stream string, senders int) ([]*batch.Batch, int64, error) {
 	var out []*batch.Batch
 	var n int64
-	err := e.recvBatches(ctx, at, stream, senders, func(b *batch.Batch) error {
-		out = append(out, b.Clone())
+	err := e.recvFrames(ctx, at, stream, senders, true, func(b *batch.Batch) error {
+		out = append(out, b)
 		n += int64(b.Len())
 		return nil
 	})
@@ -466,20 +479,17 @@ func (e *Engine) recvBloom(ctx context.Context, at, stream string, parts int) (*
 	return out, nil
 }
 
-// jenNames returns all JEN worker endpoint names.
-func (e *Engine) jenNames() []string {
-	out := make([]string, e.jen.Workers())
-	for i := range out {
-		out[i] = jenName(i)
-	}
-	return out
-}
+// jenName and dbName return one worker's endpoint name.
+func (e *Engine) jenName(i int) string { return e.jens[i] }
+func (e *Engine) dbName(i int) string  { return e.dbs[i] }
 
-// dbNames returns all DB worker endpoint names.
-func (e *Engine) dbNames() []string {
-	out := make([]string, e.db.Workers())
-	for i := range out {
-		out[i] = dbName(i)
-	}
-	return out
-}
+// jenNames and dbNames return every worker's endpoint name. The slices are
+// shared and must not be modified; their capacity equals their length, so
+// an append always copies.
+func (e *Engine) jenNames() []string { return e.jens[:len(e.jens):len(e.jens)] }
+func (e *Engine) dbNames() []string  { return e.dbs[:len(e.dbs):len(e.dbs)] }
+
+// jenFor and dbFor route a join key to its home worker under the agreed
+// hash function.
+func (e *Engine) jenFor(key int64) string { return e.jens[cluster.PartitionFor(key, len(e.jens))] }
+func (e *Engine) dbFor(key int64) string  { return e.dbs[cluster.PartitionFor(key, len(e.dbs))] }

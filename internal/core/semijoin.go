@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"hybridwh/internal/batch"
-	"hybridwh/internal/cluster"
 	"hybridwh/internal/edw"
 	"hybridwh/internal/jen"
 	"hybridwh/internal/metrics"
@@ -167,21 +166,21 @@ func (e *Engine) runSemiJoin(ctx context.Context, qs string, q *plan.JoinQuery) 
 	for _, k := range tKeys {
 		set[k] = struct{}{}
 	}
-	if err := e.sendKeySet(dbName(0), qs+"tkeys", set, e.jenNames()); err != nil {
+	if err := e.sendKeySet(e.dbName(0), qs+"tkeys", set, e.jenNames()); err != nil {
 		return nil, err
 	}
 
 	g, ctx := par.WithContext(ctx)
 	var resultRows []types.Row
 	g.Go(func() error {
-		rows, err := e.collectRows(ctx, dbName(0), qs+"final", 1)
+		rows, err := e.collectRows(ctx, e.dbName(0), qs+"final", 1)
 		resultRows = rows
 		return err
 	})
 
 	for i := 0; i < m; i++ {
 		i := i
-		g.Go(func() error { return e.dbSemiProgram(ctx, qs, q, tbl, accessPlan, i, n) })
+		g.Go(func() error { return e.dbSemiProgram(ctx, qs, q, tbl, accessPlan, i) })
 	}
 	for w := 0; w < n; w++ {
 		w := w
@@ -195,14 +194,14 @@ func (e *Engine) runSemiJoin(ctx context.Context, qs string, q *plan.JoinQuery) 
 
 // dbSemiProgram mirrors dbShipProgram with an exact L'-key set instead of
 // BF_H.
-func (e *Engine) dbSemiProgram(ctx context.Context, qs string, q *plan.JoinQuery, tbl *edw.Table, ap edw.AccessPlan, i, n int) error {
+func (e *Engine) dbSemiProgram(ctx context.Context, qs string, q *plan.JoinQuery, tbl *edw.Table, ap edw.AccessPlan, i int) error {
 	var runErr error
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
 	ctx = pr.ctx
 	tw, err := e.db.FilterProject(tbl, i, ap, q.DBProj)
 	pr.fail(err)
-	lKeys, kerr := e.recvKeySets(ctx, dbName(i), qs+"lkeys", 1)
+	lKeys, kerr := e.recvKeySets(ctx, e.dbName(i), qs+"lkeys", 1)
 	pr.fail(kerr)
 	if runErr == nil {
 		kept := tw[:0:0]
@@ -213,11 +212,9 @@ func (e *Engine) dbSemiProgram(ctx context.Context, qs string, q *plan.JoinQuery
 		}
 		tw = kept
 	}
-	b := e.newBatcher(ctx, dbName(i), qs+"dbrows", e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
+	b := e.newBatcher(ctx, e.dbName(i), qs+"dbrows", e.jenNames(), metrics.DBSentTuples, metrics.DBSentBytes, i)
 	if runErr == nil {
-		pr.fail(b.scatterRows(tw, q.DBWireKey, func(key int64) string {
-			return jenName(cluster.PartitionFor(key, n))
-		}))
+		pr.fail(b.scatterRows(tw, q.DBWireKey, e.jenFor))
 	}
 	pr.fail(b.CloseWith(runErr))
 	return runErr
@@ -226,7 +223,7 @@ func (e *Engine) dbSemiProgram(ctx context.Context, qs string, q *plan.JoinQuery
 // jenSemiProgram mirrors jenRepartitionProgram in zigzag mode with exact
 // key sets.
 func (e *Engine) jenSemiProgram(ctx context.Context, qs string, q *plan.JoinQuery, scanPlan *jen.ScanPlan, w, n, m int) error {
-	me := jenName(w)
+	me := e.jenName(w)
 	var runErr error
 	pr := newProg(ctx, &runErr)
 	defer pr.release()
@@ -279,9 +276,7 @@ func (e *Engine) jenSemiProgram(ctx context.Context, qs string, q *plan.JoinQuer
 				localKeys[keys[i].Int()] = struct{}{}
 				return nil
 			})
-			return b.scatterBatch(sb, q.HDFSWire, scanKey, func(key int64) string {
-				return jenName(cluster.PartitionFor(key, n))
-			})
+			return b.scatterBatch(sb, q.HDFSWire, scanKey, e.jenFor)
 		})
 		pr.fail(err)
 	}
@@ -290,7 +285,7 @@ func (e *Engine) jenSemiProgram(ctx context.Context, qs string, q *plan.JoinQuer
 	// The (possibly partial) key set still completes the fan-in on the error
 	// path; the failure itself travels via MsgError and the context.
 	desig := e.jen.DesignatedWorker()
-	pr.fail(e.sendKeySet(me, qs+"lkeyslocal", localKeys, []string{jenName(desig)}))
+	pr.fail(e.sendKeySet(me, qs+"lkeyslocal", localKeys, []string{e.jenName(desig)}))
 	if w == desig {
 		global, err := e.recvKeySets(ctx, me, qs+"lkeyslocal", n)
 		pr.fail(err)

@@ -149,7 +149,7 @@ func (e *Engine) agreeHotSet(ctx context.Context, qs, me string, w, n int, sk *s
 	}
 	var runErr error
 	desig := e.jen.DesignatedWorker()
-	firstErr(&runErr, e.sendSketch(me, qs+"sketch", sk, []string{jenName(desig)}))
+	firstErr(&runErr, e.sendSketch(me, qs+"sketch", sk, []string{e.jenName(desig)}))
 	if w == desig {
 		global, err := e.recvSketches(ctx, me, qs+"sketch", n)
 		firstErr(&runErr, err)

@@ -103,8 +103,8 @@ func (e *Engine) runZigzagDB(ctx context.Context, qs string, q *plan.JoinQuery) 
 		w := w
 		g.Go(func() error {
 			// Scan #2: same filters; ship survivors to the group DB worker.
-			me := jenName(w)
-			dest := dbName(jenToDB[w])
+			me := e.jenName(w)
+			dest := e.dbName(jenToDB[w])
 			b := e.newBatcher(ctx, me, qs+"ingest", []string{dest}, metrics.HDFSSentTuples, metrics.HDFSSentBytes, w)
 			serr := e.jen.ScanFilterBatches(jen.ScanSpec{
 				Plan: scanPlan, Worker: w,
