@@ -34,15 +34,19 @@ test:
 # The concurrency-heavy packages under the race detector; the short timeout
 # makes a reintroduced protocol hang (abort/fault-injection tests in core and
 # netsim) fail in minutes instead of the 10-minute default. The core package
-# run includes the adaptive-switch fault matrix
-# (TestInjectedFailuresAbortAdaptiveSwitch): workers killed before, during,
-# and after the mid-query switch handshake, on both transports. The cfg and
+# run includes the adaptive-switch and skew-shuffle fault matrices
+# (TestInjectedFailuresAbortAdaptiveSwitch,
+# TestInjectedFailuresAbortSkewedShuffle): workers killed before, during,
+# and after the observe/decide handshake, on both transports. The root
+# package run adds the warehouse-level concurrent, adaptive, star/snowflake
+# and skew-shuffle tests (TestSkewShuffleEndToEnd drives the public
+# SkewThreshold path end to end). The cfg and
 # callgraph packages ride along without -race (they are single-threaded but
 # underpin the analyzers that guard the racy packages, so they belong to the
 # same gate).
 race:
 	$(GO) test -race -timeout=120s ./internal/netsim/ ./internal/par/ ./internal/jen/ ./internal/core/ ./internal/skew/ ./internal/mem/ ./internal/sched/ ./internal/analyzer/
-	$(GO) test -race -timeout=300s -run 'TestConcurrent|TestAdaptive|TestStar|TestSnowflake' .
+	$(GO) test -race -timeout=300s -run 'TestConcurrent|TestAdaptive|TestStar|TestSnowflake|TestSkewShuffle' .
 	$(GO) test ./internal/lint/cfg/ ./internal/lint/callgraph/
 
 # Full sweep at one iteration, then the core scan→filter→shuffle→join

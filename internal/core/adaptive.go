@@ -19,54 +19,56 @@ import (
 	"hybridwh/internal/types"
 )
 
-// Adaptive execution (Config.AdaptiveSwitch): the repartition-based joins
-// fix an advisor misprediction at runtime instead of living with it. The
-// advisor commits to a plan from histograms and bounded samples; those
-// estimates are wrong exactly when the choice matters most. The adaptive
-// layer turns the scan-time telemetry the skew path already collects
-// (Misra-Gries sketches, batch counters, jen.Progress) into a feedback
-// loop, piggybacking on the skew handshake's deferred-shuffle machinery:
+// The observe/decide handshake is the one way the repartition and zigzag
+// joins change how L' and T' are routed at runtime. It engages under
+// Config.AdaptiveSwitch (switch the algorithm when the committed plan was a
+// misprediction) or Config.SkewThreshold (give heavy-hitter join keys
+// hybrid treatment). The advisor commits to a plan from histograms and
+// bounded samples; those estimates are wrong exactly when the choice
+// matters most, so the decision is taken from the first scanned batches:
 //
 //  1. Each JEN worker scans with plain-hash routing *deferred*: the first
 //     K (Config.AdaptBatches) wire batches are buffered locally while a
-//     sketch and live σ_L counters accumulate over them.
+//     Misra-Gries sketch and live σ_L counters accumulate over them.
 //  2. At K batches (or end of scan, whichever first) the worker sends an
 //     observation snapshot — physical/surviving row counts plus its sketch
 //     — to the designated JEN worker (MsgControl, stream "adapt.obs").
 //     Each DB worker contributes its observed |T'| the same way, which it
 //     knows exactly once its partition filter has run.
-//  3. The designated worker merges all n+m snapshots, extrapolates σ_L,
-//     |L'|, |T'| and the hot-key share, re-costs the committed shuffle
-//     plan against broadcasting T' and against the hybrid skew
-//     partitioner (costmodel.ShuffleJoinCost/BroadcastJoinCost), and — if
-//     an alternative wins past the hysteresis margin
-//     (costmodel.ShouldSwitch) — switches the plan, broadcasting the
-//     decision to every JEN and DB worker (MsgControl, stream
-//     "adapt.dec").
+//  3. The designated worker merges all n+m snapshots and decides
+//     (decideSwitch) by one of two policies. Under AdaptiveSwitch it
+//     extrapolates σ_L, |L'|, |T'| and the hot-key share, re-costs the
+//     committed shuffle plan against broadcasting T' and against the
+//     hybrid skew partitioner (costmodel.ShuffleJoinCost/
+//     BroadcastJoinCost), and switches only if an alternative wins past
+//     the hysteresis margin (costmodel.ShouldSwitch). With only
+//     SkewThreshold set it engages the hybrid partitioner whenever a key
+//     of the merged prefix sketch reaches the threshold, and never
+//     broadcasts. The decision goes to every JEN and DB worker
+//     (MsgControl, stream "adapt.dec").
 //  4. Workers apply the decision mid-flight: keep → flush the buffered
 //     batches through the agreed hash and route the rest of the scan
 //     live; hybrid → same, through a skew.Partitioner built from the
-//     decision's hot set; broadcast → keep buffering, never shuffle, and
-//     join locally against the full T' that the DB workers now broadcast
-//     instead of scattering.
+//     decision's hot set (cold keys to their hash home, hot L' rows
+//     round-robin, hot T' rows replicated to every JEN worker); broadcast
+//     → keep buffering, never shuffle, and join locally against the full
+//     T' that the DB workers now broadcast instead of scattering.
 //
 // Exactness: routing never starts before the decision, every worker
 // applies the same decision, and the broadcast probe reproduces
-// runBroadcast's combined layout bit for bit — so results are identical
-// to the never-switch run whatever the decision. Abort safety piggybacks
-// on the standard protocol: snapshots and decisions are sent even on
-// failure paths (mirroring agreeHotSet), every receive selects on
-// MsgError and the program context, and the designated worker always
-// broadcasts a fallback keep decision when its fan-in fails so no peer
-// blocks on a handshake that will never complete.
-//
-// When on, the adaptive layer subsumes the static skew path for these
-// algorithms (skewOn() && !adaptiveOn() in the programs): plain hash
-// routing is the committed default and the hybrid partitioner engages
-// only by observed decision.
+// runBroadcast's combined layout bit for bit. Under hybrid routing both
+// sides route by the same agreed hot set, so every hot (t, l) pair meets on
+// exactly one worker — the one the l row scattered to, where the t row was
+// replicated — and every cold pair meets at the key's hash home. The
+// sketch only nominates the set; its approximation can never duplicate or
+// drop results. Abort safety piggybacks on the standard protocol:
+// snapshots and decisions are sent even on failure paths, every receive
+// selects on MsgError and the program context, and the designated worker
+// always broadcasts a fallback keep decision when its fan-in fails so no
+// peer blocks on a handshake that will never complete.
 
-// adaptiveOn reports whether mid-query switching is active.
-func (e *Engine) adaptiveOn() bool { return e.cfg.AdaptiveSwitch }
+// adaptiveOn reports whether the observe/decide handshake runs.
+func (e *Engine) adaptiveOn() bool { return e.cfg.AdaptiveSwitch || e.cfg.SkewThreshold > 0 }
 
 // switchKind is the runtime strategy a decision selects.
 type switchKind byte
@@ -217,9 +219,8 @@ func (e *Engine) sendObserved(from, stream string, o obsSnapshot, dest string) e
 }
 
 // recvObserved receives and merges `parts` snapshots at the designated
-// worker. Failure semantics match recvSketches: a bad part is recorded and
-// the fan-in keeps draining; MsgError and context cancellation are
-// terminal.
+// worker. A bad part is recorded and the fan-in keeps draining; MsgError
+// and context cancellation are terminal.
 func (e *Engine) recvObserved(ctx context.Context, at, stream string, parts int) (obsSnapshot, error) {
 	out := obsSnapshot{sketch: skew.NewSketch(e.cfg.SkewSketchKeys)}
 	r := e.routers[at]
@@ -381,10 +382,12 @@ func (w *decisionWatch) close() {
 }
 
 // decideSwitch is the decision point: extrapolate the merged observations
-// to full-query statistics, re-cost the committed shuffle plan against the
-// alternatives, and apply the hysteresis margin. lTotal is the full L row
-// count (the catalog cardinality the σ_L extrapolation multiplies), and
-// lRowBytes the wire width of one L' row.
+// to full-query statistics and pick the routing. Under AdaptiveSwitch it
+// re-costs the committed shuffle plan against the alternatives and applies
+// the hysteresis margin; with only SkewThreshold set it engages the hybrid
+// partitioner exactly when a key of the merged prefix sketch reaches the
+// threshold. lTotal is the full L row count (the catalog cardinality the
+// σ_L extrapolation multiplies), and lRowBytes the wire width of one L' row.
 func (e *Engine) decideSwitch(o obsSnapshot, n, m int, lTotal, lRowBytes int64) *adaptDecision {
 	sigmaL := 1.0
 	if o.scanned > 0 {
@@ -392,47 +395,56 @@ func (e *Engine) decideSwitch(o obsSnapshot, n, m int, lTotal, lRowBytes int64) 
 	}
 	lRows := int64(sigmaL * float64(lTotal))
 	hotShare := o.sketch.HottestShare()
-	stats := costmodel.PlanStats{
-		TPrimeRows: o.tRows, TPrimeBytes: o.tBytes,
-		LPrimeRows: lRows, LPrimeBytes: lRows * lRowBytes,
-		HotKeyShare: hotShare,
-		JENWorkers:  n, DBWorkers: m,
-	}
-	mod := costmodel.New(costmodel.Rates{})
-	cur := mod.ShuffleJoinCost(stats, false)
-	bc := mod.BroadcastJoinCost(stats)
 	thr := e.cfg.SkewThreshold
 	if thr <= 0 {
 		thr = 1 / (2 * float64(n))
 	}
 	hot := skew.NewHotSet(o.sketch.Hot(thr))
-	hy := math.Inf(1)
-	if hot.Len() > 0 {
-		hy = mod.ShuffleJoinCost(stats, true)
-	}
+	observed := fmt.Sprintf("observed σ_L=%.4f (L'≈%d rows), |T'|=%d rows (%d B), hottest key %.0f%% of scan prefix",
+		sigmaL, lRows, o.tRows, o.tBytes, hotShare*100)
 
-	alt, kind := bc, switchBroadcast
-	if hy < bc {
-		alt, kind = hy, switchHybrid
-	}
-	if !costmodel.ShouldSwitch(cur, alt, e.cfg.AdaptMargin) {
-		kind = keepPlan
+	kind := keepPlan
+	var reason string
+	if e.cfg.AdaptiveSwitch {
+		stats := costmodel.PlanStats{
+			TPrimeRows: o.tRows, TPrimeBytes: o.tBytes,
+			LPrimeRows: lRows, LPrimeBytes: lRows * lRowBytes,
+			HotKeyShare: hotShare,
+			JENWorkers:  n, DBWorkers: m,
+		}
+		mod := costmodel.New(costmodel.Rates{})
+		cur := mod.ShuffleJoinCost(stats, false)
+		bc := mod.BroadcastJoinCost(stats)
+		hy := math.Inf(1)
+		if hot.Len() > 0 {
+			hy = mod.ShuffleJoinCost(stats, true)
+		}
+		alt, best := bc, switchBroadcast
+		if hy < bc {
+			alt, best = hy, switchHybrid
+		}
+		if costmodel.ShouldSwitch(cur, alt, e.cfg.AdaptMargin) {
+			kind = best
+		}
+		reason = fmt.Sprintf("%s: re-cost keep=%.3gs broadcast=%.3gs hybrid=%.3gs (margin %.0f%%) → %s",
+			observed, cur, bc, hy, e.cfg.AdaptMargin*100, kind)
+	} else {
+		if hot.Len() > 0 {
+			kind = switchHybrid
+		}
+		reason = fmt.Sprintf("%s: %d keys reach SkewThreshold %.3g → %s", observed, hot.Len(), thr, kind)
 	}
 
 	e.rec.Add(metrics.AdaptDecisions, 1)
 	e.rec.Add(metrics.AdaptObsSigmaLPermille, int64(sigmaL*1000))
 	e.rec.Add(metrics.AdaptObsTPrimeRows, o.tRows)
-	e.rec.Add(metrics.AdaptObsHotPermille, int64(hotShare*1000))
+	e.rec.Add(metrics.SkewHotKeys, int64(hot.Len()))
+	e.rec.Add(metrics.SkewHotPermille, int64(hotShare*1000))
 	if kind != keepPlan {
 		e.rec.Add(metrics.AdaptSwitches, 1)
 	}
 
-	d := &adaptDecision{
-		kind: kind,
-		reason: fmt.Sprintf(
-			"observed σ_L=%.4f (L'≈%d rows), |T'|=%d rows (%d B), hottest key %.0f%% of scan prefix: re-cost keep=%.3gs broadcast=%.3gs hybrid=%.3gs (margin %.0f%%) → %s",
-			sigmaL, lRows, o.tRows, o.tBytes, hotShare*100, cur, bc, hy, e.cfg.AdaptMargin*100, kind),
-	}
+	d := &adaptDecision{kind: kind, reason: reason}
 	if kind == switchHybrid {
 		d.hot = hot
 	}
@@ -443,7 +455,7 @@ func (e *Engine) decideSwitch(o obsSnapshot, n, m int, lTotal, lRowBytes int64) 
 // worker's observations, decide, record the decision for the facade, and
 // broadcast it. On a fan-in failure it still broadcasts a fallback keep
 // decision so no peer blocks on the handshake — the failure itself travels
-// via MsgError and the context, exactly as in agreeHotSet.
+// via MsgError and the context.
 func (e *Engine) coordinateSwitch(ctx context.Context, qs, me string, n, m int, lTotal, lRowBytes int64, st *adaptState) error {
 	obs, err := e.recvObserved(ctx, me, qs+"adapt.obs", n+m)
 	var d *adaptDecision
@@ -608,8 +620,8 @@ func (a *adaptJENWorker) takeBuffered() []*batch.Batch {
 }
 
 // finish completes the handshake after the scan: send the snapshot if the
-// scan ended before K batches (even on the failure path, mirroring
-// agreeHotSet, so the designated fan-in always completes), coordinate at
+// scan ended before K batches (even on the failure path, so the designated
+// fan-in always completes), coordinate at
 // the designated worker, then block for the decision and apply it. It does
 // not close the shuffle batcher — the caller's CloseWith still owns stream
 // completion.

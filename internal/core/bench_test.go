@@ -90,11 +90,12 @@ func BenchmarkAdaptiveMispredict(b *testing.B) {
 
 // BenchmarkSkewedJoin measures the repartition(BF) join over a uniform
 // (zipf=0) and a Zipf(s=1.1) L-key distribution, with the skew-resilient
-// shuffle off (skew=0) and on (skew=0.05). The interesting cells: on
-// uniform keys the hybrid shuffle's only cost is its deferred-shuffle
-// bookkeeping (sketch build, empty hot set), while on Zipf keys it trades
-// that overhead for a balanced receive side. rows/s is scanned input rows
-// per second.
+// shuffle off (skew=0) and on (skew=0.05, the threshold-only policy of the
+// observe/decide handshake). The interesting cells: on uniform keys the
+// hybrid shuffle's only cost is the handshake (each worker buffers and
+// sketches its first AdaptBatches batches until a keep decision lands),
+// while on Zipf keys it trades that overhead for a balanced receive side.
+// rows/s is scanned input rows per second.
 func BenchmarkSkewedJoin(b *testing.B) {
 	const tN, lN = 3000, 10000
 	for _, zipfS := range []float64{0, 1.1} {

@@ -117,27 +117,31 @@ type Config struct {
 	// The spilling join ignores it and probes single-threaded.
 	WorkerThreads int
 	// SkewThreshold enables skew-resilient shuffling for the repartition
-	// and zigzag joins: any join key holding at least this share of a
-	// worker-set's surviving HDFS rows (as measured by a streaming
-	// heavy-hitter sketch built during the scan) is treated as hot — its L'
-	// rows scatter round-robin across all JEN workers instead of hashing to
-	// one, and its T' rows are replicated to every JEN worker, keeping the
-	// join exact (see internal/skew). 0 disables the machinery entirely and
+	// and zigzag joins through the observe/decide handshake (see
+	// adaptive.go). Each JEN worker sketches the join keys of its first
+	// AdaptBatches wire batches; the designated worker merges the sketches,
+	// and any key holding at least this share of the surviving scan prefix
+	// is hot — its L' rows scatter round-robin across all JEN workers
+	// instead of hashing to one, and its T' rows are replicated to every
+	// JEN worker, keeping the join exact (see internal/skew). Without
+	// AdaptiveSwitch the decision is threshold-only: hybrid routing when
+	// any key is hot, the plain agreed hash otherwise, never a broadcast.
+	// The shuffle starts as soon as the decision lands, so only the scan
+	// prefix waits. 0 (with AdaptiveSwitch off) disables the handshake and
 	// the shuffle is bit-identical to the plain agreed-hash partitioner.
-	// Sensible values are 1/(2·JENWorkers) .. 0.2. The skew path defers the
-	// shuffle until the scan completes (the hot set must be agreed first),
-	// trading scan/shuffle overlap for balance. At WorkerThreads=1 every
-	// counter stays deterministic; with more threads the round-robin
-	// placement of hot rows depends on scan interleaving, so
-	// per-destination shuffle splits (the .max counters) become diagnostic
-	// while totals and results stay exact.
+	// Sensible values are 1/(2·JENWorkers) .. 0.2. At WorkerThreads=1
+	// every counter stays deterministic; with more threads the scan prefix
+	// and the round-robin placement of hot rows depend on scan
+	// interleaving, so the hot set and per-destination shuffle splits (the
+	// .max counters) may vary while totals and results stay exact.
 	SkewThreshold float64
 	// SkewSketchKeys is the heavy-hitter sketch capacity (counters per
-	// thread). The sketch is exact — and the hot set independent of thread
-	// count and merge order — while each thread sees fewer than twice this
-	// many distinct surviving keys; beyond that the Misra-Gries error bound
-	// (≤ rows/capacity) still guarantees every key above SkewThreshold is
-	// caught, with possible borderline extras. Defaults to 256.
+	// JEN worker's scan-prefix sketch). The merged sketch is exact — and
+	// the hot set independent of merge order — while each worker's prefix
+	// holds fewer than twice this many distinct surviving keys; beyond
+	// that the Misra-Gries error bound (≤ rows/capacity) still guarantees
+	// every key above the hot bar is caught, with possible borderline
+	// extras. Defaults to 256.
 	SkewSketchKeys int
 	// AdaptiveSwitch enables mid-query algorithm switching for the
 	// repartition-based joins (see adaptive.go): after the first
@@ -145,10 +149,10 @@ type Config struct {
 	// hot-key share re-cost the committed plan against broadcasting T' and
 	// against the hybrid skew partitioner, and the cheaper plan (past an
 	// AdaptMargin hysteresis) takes over mid-flight. Results are exact
-	// either way. When on, it subsumes the static skew path for those
-	// algorithms: plain hash routing is the default and the hybrid
-	// partitioner engages only by observed decision (SkewThreshold still
-	// supplies the hot bar, defaulting to 1/(2·JENWorkers) when zero).
+	// either way. When on, this cost-based policy replaces the
+	// threshold-only one: the hybrid partitioner engages only when it
+	// re-costs cheaper, with SkewThreshold supplying the hot bar
+	// (1/(2·JENWorkers) when zero).
 	AdaptiveSwitch bool
 	// AdaptBatches is K, the number of wire batches each JEN worker buffers
 	// before contributing its observation snapshot. Defaults to 8.
@@ -284,10 +288,10 @@ type Result struct {
 	// DBJoinStrategy is the database optimizer's final-join choice for the
 	// DB-side algorithms (RepartitionBoth otherwise irrelevant).
 	DBJoinStrategy edw.JoinStrategy
-	// Switched reports the adaptive layer (Config.AdaptiveSwitch) changed
-	// the plan mid-query; SwitchedTo names the runtime strategy it changed
-	// to and SwitchReason carries the observed statistics and re-costs that
-	// justified it.
+	// Switched reports the observe/decide handshake (Config.AdaptiveSwitch
+	// or SkewThreshold) changed the routing mid-query; SwitchedTo names the
+	// runtime strategy it changed to and SwitchReason carries the observed
+	// statistics and the re-costs or threshold test that justified it.
 	Switched     bool
 	SwitchedTo   string
 	SwitchReason string

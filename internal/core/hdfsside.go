@@ -14,7 +14,6 @@ import (
 	"hybridwh/internal/par"
 	"hybridwh/internal/plan"
 	"hybridwh/internal/relop"
-	"hybridwh/internal/skew"
 	"hybridwh/internal/types"
 )
 
@@ -56,8 +55,8 @@ func (e *Engine) runHDFSSide(ctx context.Context, qs string, q *plan.JoinQuery, 
 		}
 	}
 
-	// Mid-query switching (Config.AdaptiveSwitch): the designated worker's
-	// decision lands in st for the facade to surface on the Result.
+	// The observe/decide handshake (see adaptive.go): the designated
+	// worker's decision lands in st for the facade to surface on the Result.
 	var st *adaptState
 	if e.adaptiveOn() {
 		st = &adaptState{}
@@ -109,24 +108,13 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 
 	if !zig {
 		if e.adaptiveOn() {
-			// Adaptive: T' is materialized so its observed size can feed
-			// the switch decision, and routing waits for that decision —
-			// hash home, hybrid scatter, or full broadcast.
+			// T' is materialized so its observed size can feed the
+			// decision, and routing waits for that decision — hash home,
+			// hybrid scatter, or full broadcast.
 			tw, err := e.db.FilterProject(tbl, i, ap, q.DBProj)
 			pr.fail(err)
 			e.adaptObserveT(pr, qs, q, i, tw)
 			e.adaptRouteRows(ctx, pr, qs, q, b, i, tw, &runErr)
-		} else if e.skewOn() {
-			// Hybrid routing needs the agreed hot set, which exists only
-			// after the whole HDFS scan: materialize T', wait for the set,
-			// then ship with hot rows replicated to every JEN worker.
-			tw, err := e.db.FilterProject(tbl, i, ap, q.DBProj)
-			pr.fail(err)
-			hot, herr := e.recvHotSet(ctx, e.dbName(i), qs+"hotset")
-			pr.fail(herr)
-			if runErr == nil {
-				pr.fail(b.scatterRowsHybrid(tw, q.DBWireKey, hot, e.jenFor))
-			}
 		} else {
 			// No Bloom filter to wait for: T' streams out batch-at-a-time as
 			// the partition scan produces it.
@@ -140,10 +128,7 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 
 	// Zigzag: T' must be materialized — BF_H arrives only after the whole
 	// HDFS scan completes, and it prunes what is shipped (steps 4–5).
-	// Under the adaptive layer the skew path stands down (the hybrid
-	// partitioner engages only by observed decision).
 	adaptOn := e.adaptiveOn()
-	skewOn := e.skewOn() && !adaptOn
 	tw, err := e.db.FilterProject(tbl, i, ap, q.DBProj)
 	if err != nil {
 		// Protocol obligation: JEN workers expecting this worker's stream
@@ -161,11 +146,6 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 		}
 		if adaptOn {
 			e.adaptRouteRows(ctx, pr, qs, q, b, i, nil, &runErr)
-		}
-		if skewOn {
-			if _, herr := e.recvHotSet(ctx, e.dbName(i), qs+"hotset"); herr != nil {
-				pr.fail(herr)
-			}
 		}
 		return runErr
 	}
@@ -185,12 +165,6 @@ func (e *Engine) dbShipProgram(ctx context.Context, qs string, q *plan.JoinQuery
 	}
 	if adaptOn {
 		e.adaptRouteRows(ctx, pr, qs, q, b, i, tw, &runErr)
-	} else if skewOn {
-		hot, herr := e.recvHotSet(ctx, e.dbName(i), qs+"hotset")
-		pr.fail(herr)
-		if runErr == nil {
-			pr.fail(b.scatterRowsHybrid(tw, q.DBWireKey, hot, e.jenFor))
-		}
 	} else if runErr == nil {
 		pr.fail(b.scatterRows(tw, q.DBWireKey, e.jenFor))
 	}
@@ -269,13 +243,8 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 		Threads: e.cfg.WorkerThreads,
 		Mem:     bud,
 	}
-	// The adaptive layer subsumes the static skew path: plain hash routing
-	// is the committed default and the hybrid partitioner engages only by
-	// observed decision.
-	adaptOn := e.adaptiveOn()
-	skewOn := e.skewOn() && !adaptOn
 	var aw *adaptJENWorker
-	if adaptOn {
+	if e.adaptiveOn() {
 		watch, werr := e.watchDecision(me, qs+"adapt.dec")
 		pr.fail(werr)
 		if werr == nil {
@@ -284,64 +253,18 @@ func (e *Engine) jenRepartitionProgram(ctx context.Context, qs string, q *plan.J
 			spec.Progress = &aw.progress
 		}
 	}
-	var sk *skew.Sketch
-	var buffered []*batch.Batch
 	if runErr == nil {
 		var err error
 		if aw != nil {
-			// Adaptive: buffer, observe and poll for the switch decision;
-			// routing starts the moment the decision lands (see adaptive.go).
+			// Buffer, observe and poll for the decision; routing starts the
+			// moment the decision lands (see adaptive.go).
 			err = e.jen.ScanFilterBatches(spec, aw.onBatch)
-		} else if skewOn {
-			// Skew path: the shuffle is deferred — the hot set does not
-			// exist until every worker's scan completes — so the scan builds
-			// the heavy-hitter sketch and buffers wire-projected batches
-			// locally instead of scattering them.
-			sk = skew.NewSketch(e.cfg.SkewSketchKeys)
-			spec.BuildSketch = sk
-			var bufMu sync.Mutex // guards buffered (morsel workers yield concurrently)
-			err = e.jen.ScanFilterBatches(spec, func(sb *batch.Batch) error {
-				wb := batch.New(len(q.HDFSWire), sb.Len())
-				perr := sb.Each(func(i int) error {
-					wb.AppendFrom(sb, i, q.HDFSWire)
-					return nil
-				})
-				bufMu.Lock()
-				buffered = append(buffered, wb)
-				bufMu.Unlock()
-				return perr
-			})
 		} else {
 			err = e.jen.ScanFilterBatches(spec, func(sb *batch.Batch) error {
 				return b.scatterBatch(sb, q.HDFSWire, scanKey, e.jenFor)
 			})
 		}
 		pr.fail(err)
-	}
-	if skewOn {
-		// Agree on the hot set, then shuffle from the buffers: cold keys to
-		// their hash home (identical to the plain partitioner), hot keys
-		// round-robin from a per-sender offset so no worker receives a hot
-		// key's full volume.
-		hot, herr := e.agreeHotSet(ctx, qs, me, w, n, sk)
-		pr.fail(herr)
-		if runErr == nil {
-			p := skew.NewPartitioner(n, hot, w)
-			var hotTuples int64
-			route := func(key int64) string {
-				if p.IsHot(key) {
-					hotTuples++
-				}
-				return e.jenName(p.Route(key))
-			}
-			for _, wb := range buffered {
-				if err := b.scatterBatch(wb, nil, q.HDFSWireKey, route); err != nil {
-					pr.fail(err)
-					break
-				}
-			}
-			e.rec.AddAt(metrics.JENShuffleHotTuples, w, hotTuples)
-		}
 	}
 	if aw != nil {
 		// Complete the switch handshake: contribute this worker's snapshot

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,8 +115,10 @@ func skewTestConfig(threshold float64) Config {
 
 // TestSkewedJoinMatchesPlainPartitioner is the result-identity guarantee:
 // on identically-seeded skewed data, every algorithm family returns exactly
-// the reference answer with the skew-resilient shuffle on, off, and at a
-// threshold no key reaches (empty agreed hot set) — on both transports.
+// the reference answer with the skew-resilient shuffle on, off, at a
+// threshold no key reaches (empty agreed hot set), and on under the
+// cost-based adaptive policy (the served-skewed engine configuration) — on
+// both transports.
 func TestSkewedJoinMatchesPlainPartitioner(t *testing.T) {
 	transports := []struct {
 		name   string
@@ -125,10 +128,21 @@ func TestSkewedJoinMatchesPlainPartitioner(t *testing.T) {
 		{"tcp", func() netsim.Bus { return netsim.NewTCPBus(256) }},
 	}
 	algs := []Algorithm{DBSideBloom, Broadcast, Repartition, RepartitionBloom, Zigzag}
+	adaptive := skewTestConfig(0.05)
+	adaptive.AdaptiveSwitch = true
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"threshold=0", skewTestConfig(0)},
+		{"threshold=0.05", skewTestConfig(0.05)},
+		{"threshold=0.999", skewTestConfig(0.999)},
+		{"threshold=0.05/adaptive", adaptive},
+	}
 	for _, tr := range transports {
-		for _, threshold := range []float64{0, 0.05, 0.999} {
-			t.Run(fmt.Sprintf("%s/threshold=%v", tr.name, threshold), func(t *testing.T) {
-				f := buildSkewFixture(t, tr.newBus(), 2, 3, 600, 3000, skewTestConfig(threshold))
+		for _, c := range configs {
+			t.Run(tr.name+"/"+c.name, func(t *testing.T) {
+				f := buildSkewFixture(t, tr.newBus(), 2, 3, 600, 3000, c.cfg)
 				defer f.eng.Close()
 				want := reference(t, f, 300, 400)
 				if len(want) == 0 {
@@ -188,12 +202,21 @@ func TestSkewShuffleBalance(t *testing.T) {
 	if hot := skewRec.Get(metrics.JENShuffleHotTuples); hot < int64(lN)/4 {
 		t.Errorf("only %d hot tuples scattered; the planted key holds ~half of L", hot)
 	}
+	// Threshold-only policy: a hot key engages the hybrid partitioner even
+	// where the cost-based policy's margin would keep the plan.
+	if skewRes.SwitchedTo != "hybrid-shuffle" || !strings.Contains(skewRes.SwitchReason, "SkewThreshold") {
+		t.Errorf("threshold 0.05: SwitchedTo=%q reason=%q, want hybrid-shuffle naming SkewThreshold",
+			skewRes.SwitchedTo, skewRes.SwitchReason)
+	}
 	checkResult(t, plainRes, want, RepartitionBloom)
 	checkResult(t, skewRes, want, RepartitionBloom)
 
 	// An unreachable threshold produces an empty hot set: the deferred
 	// shuffle must reproduce the plain partitioner's receive vector exactly.
-	_, inertRec, _ := run(0.999)
+	inertRes, inertRec, _ := run(0.999)
+	if inertRes.Switched || !strings.HasSuffix(inertRes.SwitchReason, "→ keep") {
+		t.Errorf("threshold 0.999: Switched=%v reason=%q, want a keep decision", inertRes.Switched, inertRes.SwitchReason)
+	}
 	if !reflect.DeepEqual(inertRec.Vector(metrics.JENRecvTuples), plainRec.Vector(metrics.JENRecvTuples)) {
 		t.Errorf("empty hot set changed the shuffle: recv %v vs plain %v",
 			inertRec.Vector(metrics.JENRecvTuples), plainRec.Vector(metrics.JENRecvTuples))
@@ -236,9 +259,10 @@ func TestSkewedJoinDeterministicCounters(t *testing.T) {
 }
 
 // TestInjectedFailuresAbortSkewedShuffle extends the fault matrix across
-// the skew path's extra protocol phases (sketch fan-in, hot-set broadcast,
-// deferred shuffle): a worker dying mid skew-shuffle must still produce one
-// classified error, within the deadline, with no leaked goroutines.
+// the skew path's protocol phases (observation fan-in, decision broadcast,
+// post-decision hybrid shuffle): a worker dying mid skew-shuffle must still
+// produce one classified error, within the deadline, with no leaked
+// goroutines.
 func TestInjectedFailuresAbortSkewedShuffle(t *testing.T) {
 	transports := []struct {
 		name   string
@@ -247,16 +271,19 @@ func TestInjectedFailuresAbortSkewedShuffle(t *testing.T) {
 		{"chan", func() netsim.Bus { return netsim.NewChanBus(64) }},
 		{"tcp", func() netsim.Bus { return netsim.NewTCPBus(64) }},
 	}
-	// The kill counts put the death in different phases: 4 lands around the
-	// early Bloom/sketch/hot-set exchange, 12 inside the deferred shuffle
-	// (the skew path sends nothing row-bearing before the hot set arrives,
-	// so by message 12 the endpoint is mid skew-shuffle).
+	// The kill counts put the death in different phases. Nothing row-bearing
+	// moves before the decision, so the first messages touching a worker are
+	// the handshake: jen/1's snapshot is its first message (repartition) or
+	// its second, after BF_DB (zigzag), and the decision follows, so a kill
+	// after 1 lands in the observation fan-in or the decision broadcast.
+	// By message 12 jen/1 is mid hybrid shuffle, and db/1's 4th message is
+	// a T' frame of the post-decision shipping.
 	kills := []struct {
 		name  string
 		kill  string
 		after int64
 	}{
-		{"jen-early", cluster.JENName(1), 4},
+		{"jen-early", cluster.JENName(1), 1},
 		{"jen-mid-shuffle", cluster.JENName(1), 12},
 		{"db-worker", cluster.DBName(1), 4},
 	}

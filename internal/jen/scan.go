@@ -11,7 +11,6 @@ import (
 	"hybridwh/internal/mem"
 	"hybridwh/internal/metrics"
 	"hybridwh/internal/par"
-	"hybridwh/internal/skew"
 	"hybridwh/internal/types"
 )
 
@@ -67,19 +66,11 @@ type ScanSpec struct {
 	// same geometry; the privates are OR-ed into BuildBloom at the end, so
 	// the final filter is independent of batch interleaving.
 	BuildBloom *bloom.Filter
-	// BuildSketch, when set, receives the join key of every surviving row —
-	// the heavy-hitter detection pass for the skew-resilient shuffle. Like
-	// BuildBloom, with Threads > 1 each process goroutine fills a private
-	// clone and the privates merge at the end; the sketch's merge is a
-	// pointwise counter sum, so the result is independent of batch
-	// interleaving whenever the per-thread sketches stay exact (see
-	// skew.Sketch).
-	BuildSketch *skew.Sketch
 	// BloomKeyIdx is the join-key column in the projected layout.
 	BloomKeyIdx int
 	// Progress, when set, receives live (processed, survived) row counts as
 	// each batch clears the filter stage — the mid-scan observation tap for
-	// adaptive execution. Unlike BuildBloom/BuildSketch it is shared across
+	// adaptive execution. Unlike BuildBloom it is shared across
 	// threads directly (it is atomic), so its counts are visible while the
 	// scan is still running.
 	Progress *Progress
@@ -189,16 +180,11 @@ func (c *Cluster) ScanFilterBatches(spec ScanSpec, yield func(*batch.Batch) erro
 		threads = 1
 	}
 	locals := make([]*bloom.Filter, threads)
-	sketches := make([]*skew.Sketch, threads)
 	work := func(t int) error {
 		tspec := spec
 		if spec.BuildBloom != nil && threads > 1 {
 			tspec.BuildBloom = bloom.New(spec.BuildBloom.MBits(), spec.BuildBloom.K())
 			locals[t] = tspec.BuildBloom
-		}
-		if spec.BuildSketch != nil && threads > 1 {
-			tspec.BuildSketch = spec.BuildSketch.Clone()
-			sketches[t] = tspec.BuildSketch
 		}
 		var procErr error
 		var processed int64
@@ -247,13 +233,6 @@ func (c *Cluster) ScanFilterBatches(spec ScanSpec, yield func(*batch.Batch) erro
 					procErr = err
 					break
 				}
-			}
-		}
-		if spec.BuildSketch != nil && procErr == nil {
-			// Counter addition is commutative too; see skew.Sketch.Merge for
-			// when the merged summary is fully interleaving-independent.
-			for _, sk := range sketches {
-				spec.BuildSketch.Merge(sk)
 			}
 		}
 	}
@@ -321,13 +300,6 @@ func (c *Cluster) filterBatch(spec ScanSpec, b *batch.Batch, hashes *[]uint64, h
 		})
 		*hashes = hs
 		spec.BuildBloom.AddHashes(hs)
-	}
-	if spec.BuildSketch != nil && b.Len() > 0 {
-		keys := b.Col(spec.BloomKeyIdx)
-		_ = b.Each(func(i int) error {
-			spec.BuildSketch.Add(keys[i].Int())
-			return nil
-		})
 	}
 	return nil
 }

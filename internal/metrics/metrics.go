@@ -263,10 +263,11 @@ const (
 
 	// Skew handling (core.Config.SkewThreshold). Hot tuples are counted at
 	// the sender; the receive-side balance is BalanceRatio(JENRecvTuples).
+	// The two skew.hot scalars are recorded at the observe/decide decision
+	// point from the merged scan-prefix sketch, whichever policy decides.
 	JENShuffleHotTuples = "jen.shuffle.hot"   // vector: hot-key tuples scattered per sending JEN worker
-	SkewHotKeys         = "skew.hot.keys"     // scalar: agreed hot-set size
-	SkewHotPermille     = "skew.hot.permille" // scalar: hottest key's share of surviving HDFS rows, ×1000
-	SkewBytes           = "skew.bytes"        // scalar: sketch and hot-set bytes moved
+	SkewHotKeys         = "skew.hot.keys"     // scalar: keys reaching the hot bar in the scan prefix
+	SkewHotPermille     = "skew.hot.permille" // scalar: hottest key's share of the surviving scan prefix, ×1000
 
 	// Intra-worker parallelism accounting. Slots index the morsel/probe
 	// thread, not the worker: the sum equals the corresponding per-worker
@@ -298,12 +299,12 @@ const (
 	SchedQueuedScan  = "sched.queued.scan"  // gauge: scan-lane queue depth
 	MemReservedBytes = "mem.reserved.bytes" // gauge: governor grants outstanding (.peak ≤ budget)
 
-	// Adaptive execution (core.Config.AdaptiveSwitch). Recorded only when
-	// the adaptive layer runs, so non-adaptive snapshots stay byte-identical.
+	// The observe/decide handshake (core.Config.AdaptiveSwitch or
+	// SkewThreshold). Recorded only when the handshake runs, so snapshots
+	// with both off stay byte-identical.
 	AdaptDecisions         = "adapt.decisions"           // scalar: mid-query decision points evaluated
 	AdaptSwitches          = "adapt.switches"            // scalar: decisions that changed the plan
 	AdaptBytes             = "adapt.bytes"               // scalar: observed-stats and decision bytes moved
 	AdaptObsSigmaLPermille = "adapt.obs.sigmal.permille" // scalar: observed σ_L at the decision point, ×1000
 	AdaptObsTPrimeRows     = "adapt.obs.tprime.rows"     // scalar: observed |T'| at the decision point
-	AdaptObsHotPermille    = "adapt.obs.hot.permille"    // scalar: observed hottest-key share of the scan prefix, ×1000
 )

@@ -28,8 +28,8 @@ import (
 // threads. Overflowing sketches keep the Misra-Gries guarantee instead:
 // ErrBound() ≤ Total()/(capacity+1) per input, summed across inputs.
 //
-// A Sketch is not safe for concurrent use; build one per thread and Merge
-// (the same discipline as the per-thread Bloom clones in the JEN scan).
+// A Sketch is not safe for concurrent use; guard it with a lock, or build
+// one per goroutine and Merge.
 type Sketch struct {
 	cap    int
 	counts map[int64]int64
@@ -117,10 +117,6 @@ func (s *Sketch) Merge(o *Sketch) {
 		s.counts[k] += c
 	}
 }
-
-// Clone returns an empty sketch with the same capacity (the per-thread
-// clone pattern, mirroring bloom.New(bf.MBits(), bf.K())).
-func (s *Sketch) Clone() *Sketch { return NewSketch(s.cap) }
 
 // Hot returns, sorted ascending, every key whose frequency upper bound
 // reaches minShare of the total. Every key with true share ≥ minShare is

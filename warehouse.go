@@ -88,12 +88,17 @@ type Config struct {
 	// scheme (each DB worker ships to one JEN worker, which relays).
 	BroadcastRelay bool
 	// SkewThreshold enables the skew-resilient shuffle: join keys holding at
-	// least this share of the surviving HDFS scan get hybrid treatment
-	// (their L rows scattered round-robin, the matching T' rows replicated).
-	// 0 disables it with bit-identical plain-repartition behaviour. See
+	// least this share of the surviving scan prefix (the first AdaptBatches
+	// wire batches of every JEN worker) get hybrid treatment (their L rows
+	// scattered round-robin, the matching T' rows replicated). Without
+	// AdaptiveSwitch the hybrid partitioner engages whenever a key is hot;
+	// with it, only when the re-cost says so. The shuffle starts once the
+	// decision lands, not after the whole scan. 0 disables it with
+	// bit-identical plain-repartition behaviour. See
 	// core.Config.SkewThreshold.
 	SkewThreshold float64
-	// SkewSketchKeys sizes the per-worker heavy-hitter sketch (default 256).
+	// SkewSketchKeys sizes the per-worker scan-prefix heavy-hitter sketch
+	// (default 256).
 	SkewSketchKeys int
 	// AdaptiveSwitch enables mid-query algorithm switching for the
 	// HDFS-side shuffle joins: after the first AdaptBatches wire batches of
@@ -101,8 +106,9 @@ type Config struct {
 	// hot-key share against the committed plan's assumptions and, when an
 	// alternative is cheaper by more than AdaptMargin, switches to a
 	// broadcast of T' or escalates to the hybrid skew partitioner without
-	// restarting the query. Results are identical to the never-switch run.
-	// See core.Config.AdaptiveSwitch.
+	// restarting the query. This cost-based decision replaces the
+	// threshold-only one of SkewThreshold. Results are identical to the
+	// never-switch run. See core.Config.AdaptiveSwitch.
 	AdaptiveSwitch bool
 	// AdaptBatches is the per-worker scan prefix (in wire batches) observed
 	// before the switch decision (default 8).
@@ -401,11 +407,12 @@ type Result struct {
 	// tuples (1.0 = perfectly balanced; 0 when the algorithm did not
 	// shuffle). The skew-resilient shuffle exists to pull this toward 1.
 	ShuffleBalance float64
-	// Switched reports the adaptive layer (Config.AdaptiveSwitch) changed
-	// the plan mid-query; SwitchedTo names the strategy it switched to
-	// ("broadcast" or "hybrid-shuffle") and SwitchReason carries the
-	// observed-vs-recosted justification. SwitchReason is also set on
-	// keep decisions, so a non-switching adaptive run explains itself.
+	// Switched reports the observe/decide handshake (Config.AdaptiveSwitch
+	// or SkewThreshold) changed the routing mid-query; SwitchedTo names the
+	// strategy it switched to ("broadcast" or "hybrid-shuffle") and
+	// SwitchReason carries the observed statistics and the re-cost or
+	// threshold test behind it. SwitchReason is also set on keep
+	// decisions, so a non-switching run explains itself.
 	Switched     bool
 	SwitchedTo   string
 	SwitchReason string
@@ -523,7 +530,6 @@ func (w *Warehouse) buildResult(res *core.Result, alg core.Algorithm, advice str
 		Scale:       w.cfg.Scale,
 		Format:      w.cfg.Format,
 		JENWorkers:  w.cfg.JENWorkers,
-		HotKeyShare: float64(w.rec.Get(metrics.SkewHotPermille)) / 1000,
 		SkewHandled: w.cfg.SkewThreshold > 0,
 	})
 	if err != nil {
